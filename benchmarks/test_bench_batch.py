@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import random
 import time
 from pathlib import Path
@@ -26,7 +27,7 @@ import pytest
 
 from repro.core.equivalence import semantically_equivalent
 from repro.core.manager import SmaltaManager
-from repro.core.shards import ShardedBackend, snapshot_shard
+from repro.core.ortc import ortc
 from repro.core.smalta import SmaltaState
 from repro.net.nexthop import NexthopRegistry
 from repro.net.update import iter_bursts
@@ -44,16 +45,22 @@ REPEATS = 3
 
 
 def _record(key: str, payload: dict) -> None:
-    """Merge one result section into BENCH_batch.json (sorted, stable)."""
+    """Merge one result section into BENCH_batch.json (sorted, stable).
+
+    ``_meta`` is rewritten on every write, so it describes the host and
+    interpreter of the latest run.
+    """
     results: dict = {}
     if BENCH_PATH.exists():
         results = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
-    results.setdefault("_meta", {
+    results["_meta"] = {
         "file": "BENCH_batch.json",
         "harness": "benchmarks/test_bench_batch.py",
         "seed": BENCH_SEED,
         "note": "min-of-repeats wall clock; fresh state per repeat",
-    })
+        "host_cores": os.cpu_count() or 1,
+        "python": platform.python_version(),
+    }
     results[key] = payload
     BENCH_PATH.write_text(
         json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -150,28 +157,36 @@ def test_bench_batch_vs_sequential(bench_table, burst_trace):
 
 
 def test_bench_snapshot_fast_path(bench_table):
-    """snapshot(fast=True) (trie-fed ORTC + interned sets) vs baseline."""
+    """Trie-fed ORTC (``FibTrie.ortc_table``) vs the entry-stream ``ortc``.
+
+    The snapshot runs the former; the latter is the reference the tests
+    compare it against, and this floor is what keeps both in the tree.
+    """
     table, _ = bench_table
     state = SmaltaState(32)
     for prefix, nexthop in table.items():
         state.load(prefix, nexthop)
-    state.snapshot()
+    state.rebuild()
+    trie = state.trie
 
-    timings = {True: float("inf"), False: float("inf")}
+    timings = {"fast": float("inf"), "baseline": float("inf")}
     # Interleave modes so neither benefits from cache warm-up ordering.
     for _ in range(REPEATS):
-        for fast in (False, True):
-            started = time.perf_counter()
-            state.snapshot(fast=fast)
-            timings[fast] = min(timings[fast], time.perf_counter() - started)
+        started = time.perf_counter()
+        baseline_table = ortc(trie.ot_entries(), 32)
+        timings["baseline"] = min(timings["baseline"], time.perf_counter() - started)
+        started = time.perf_counter()
+        fast_table = trie.ortc_table()
+        timings["fast"] = min(timings["fast"], time.perf_counter() - started)
+    assert fast_table == baseline_table
 
-    speedup = timings[False] / timings[True]
+    speedup = timings["baseline"] / timings["fast"]
     _record(
         "snapshot_fast_path",
         {
-            "workload": f"snapshot(OT) over a {len(table)}-prefix table",
-            "baseline_s": round(timings[False], 6),
-            "fast_s": round(timings[True], 6),
+            "workload": f"ORTC of a {len(table)}-prefix table inside snapshot(OT)",
+            "baseline_s": round(timings["baseline"], 6),
+            "fast_s": round(timings["fast"], 6),
             "speedup": round(speedup, 2),
         },
     )
@@ -180,171 +195,16 @@ def test_bench_snapshot_fast_path(bench_table):
     assert speedup >= 0.95, f"fast snapshot slower than baseline: {speedup:.2f}x"
 
 
-def _lpt_makespan(task_times: list[float], workers: int) -> float:
-    """Longest-processing-time list scheduling: the classic makespan
-    bound a work-stealing pool tracks closely for many small tasks."""
-    bins = [0.0] * workers
-    for duration in sorted(task_times, reverse=True):
-        bins[bins.index(min(bins))] += duration
-    return max(bins)
-
-
-def test_bench_snapshot_sharded():
-    """Sharded snapshot vs the single-trie fast path on a DFZ-profile table.
-
-    Three honest measurements on this host, whatever its core count:
-
-    - ``overhead_1worker`` — the sharded backend with no pool runs the
-      same mirror pass over its spliced graph, so the abstraction must
-      be (near-)free: floor 0.90x.
-    - the stitched protocol's serial cost, decomposed into coordinator
-      work (encode + top tree + stitch) and the per-shard ORTC tasks,
-      each timed individually.
-    - a real 2-worker process-pool snapshot, recorded as-is (it includes
-      fork/dispatch cost and cannot beat serial on a single-core host).
-
-    The k-worker speedups are then **modeled** from the measured pieces:
-    makespan(k) = coordinator_s + LPT(task_times, k), i.e. real task
-    timings under longest-processing-time scheduling — the standard
-    makespan model for a work-stealing pool. The 4-worker figure is the
-    acceptance headline (floor 1.5x); ``host_cores`` and ``methodology``
-    are recorded alongside so nobody mistakes the model for a wall-clock
-    measurement on this container.
-    """
-    prefix_count = scaled(200_000, minimum=2_000)
-    rng = random.Random(BENCH_SEED + 3)
-    registry = NexthopRegistry()
-    nexthops = registry.create_many(8)
-    # The default profile auto-shrinks the allocated first-octet space
-    # with the table size (right for aggregation density, wrong for
-    # shard balance: a REPRO_SCALE-reduced table would collapse into a
-    # handful of /8 shards). A real DFZ table occupies most of the
-    # first-octet space at every size, so pin that spread explicitly.
-    profile = TableProfile(allocated_fraction=0.85, allocated_runs=40)
-    table = generate_table(prefix_count, nexthops, rng, profile=profile)
-
-    def loaded(backend: ShardedBackend | None) -> SmaltaState:
-        state = SmaltaState(32) if backend is None else SmaltaState(
-            32, backend=backend
-        )
-        for prefix, nexthop in table.items():
-            state.load(prefix, nexthop)
-        return state
-
-    single = loaded(None)
-    sharded_plain = loaded(ShardedBackend(32))
-    sharded_stitch = loaded(ShardedBackend(32, force_stitch=True))
-
-    single_fast_s = float("inf")
-    sharded_1worker_s = float("inf")
-    stitched_inline_s = float("inf")
-    # Interleave modes so none benefits from cache warm-up ordering, and
-    # take extra repeats: the acceptance floors below are ratios of two
-    # ~0.3s measurements, and min-of-N is the only defense against
-    # scheduler preemption noise on a small shared host.
-    for _ in range(max(REPEATS, 5)):
-        started = time.perf_counter()
-        reference_table = single.trie.ortc_table()
-        single_fast_s = min(single_fast_s, time.perf_counter() - started)
-
-        started = time.perf_counter()
-        plain_table = sharded_plain.trie.ortc_table()
-        sharded_1worker_s = min(sharded_1worker_s, time.perf_counter() - started)
-
-        started = time.perf_counter()
-        stitched_table = sharded_stitch.trie.ortc_table()
-        stitched_inline_s = min(stitched_inline_s, time.perf_counter() - started)
-
-    # Byte-identity before any speed claims: both sharded paths emit the
-    # reference table in the reference order.
-    assert list(plain_table.items()) == list(reference_table.items())
-    assert list(stitched_table.items()) == list(reference_table.items())
-
-    # Per-shard task timings (serial, min of repeats per task).
-    backend = sharded_stitch.trie
-    assert isinstance(backend, ShardedBackend)
-    payloads = backend.shard_payloads()
-    task_times = [float("inf")] * len(payloads)
-    for _ in range(2):
-        for index, payload in enumerate(payloads):
-            started = time.perf_counter()
-            snapshot_shard(*payload)
-            task_times[index] = min(
-                task_times[index], time.perf_counter() - started
-            )
-    task_total_s = sum(task_times)
-    coordinator_s = max(0.0, stitched_inline_s - task_total_s)
-
-    # One real pool run, recorded verbatim (includes worker startup).
-    pool_backend = ShardedBackend(32, snapshot_workers=2)
-    pooled = loaded(pool_backend)
-    started = time.perf_counter()
-    pooled_table = pooled.trie.ortc_table()
-    pool_2workers_s = time.perf_counter() - started
-    pool_backend.close()
-    assert list(pooled_table.items()) == list(reference_table.items())
-
-    def modeled_speedup(workers: int) -> float:
-        return single_fast_s / (coordinator_s + _lpt_makespan(task_times, workers))
-
-    overhead_1worker = single_fast_s / sharded_1worker_s
-    speedup_2 = modeled_speedup(2)
-    speedup_4 = modeled_speedup(4)
-    host_cores = os.cpu_count() or 1
-    _record(
-        "snapshot_sharded",
-        {
-            "workload": (
-                f"snapshot(OT) over a {len(table)}-prefix DFZ-profile table "
-                "(200k x REPRO_SCALE), /8-sharded backend"
-            ),
-            "host_cores": host_cores,
-            "single_fast_s": round(single_fast_s, 6),
-            "sharded_1worker_s": round(sharded_1worker_s, 6),
-            "overhead_1worker": round(overhead_1worker, 3),
-            "stitched_inline_s": round(stitched_inline_s, 6),
-            "stitch_serial_speedup": round(single_fast_s / stitched_inline_s, 2),
-            "coordinator_s": round(coordinator_s, 6),
-            "shard_tasks": len(payloads),
-            "task_total_s": round(task_total_s, 6),
-            "task_max_s": round(max(task_times), 6),
-            "pool_2workers_real_s": round(pool_2workers_s, 6),
-            "speedup_2workers": round(speedup_2, 2),
-            "speedup_4workers": round(speedup_4, 2),
-            "methodology": (
-                "k-worker speedups are modeled makespans: measured "
-                "coordinator time + LPT schedule of individually measured "
-                "per-shard task times; the real 2-worker pool run (fork + "
-                "dispatch included) is recorded verbatim. They compound "
-                "stitch_serial_speedup (the per-shard encode/decode "
-                "protocol beats whole-trie mirroring even serially) with "
-                f"parallel scheduling. Host has {host_cores} core(s), so "
-                "modeled figures are the scalability claim, not a "
-                "wall-clock one."
-            ),
-        },
-    )
-    assert overhead_1worker >= 0.90, (
-        f"sharded backend costs >10% on 1-worker snapshots: "
-        f"{overhead_1worker:.3f}x"
-    )
-    assert speedup_4 >= 1.5, (
-        f"modeled 4-worker snapshot speedup {speedup_4:.2f}x below the "
-        "1.5x floor"
-    )
-
-
 def test_bench_lookup_packed():
-    """The three backends raced on LPM lookups over a DFZ-profile table.
+    """The two backends raced on LPM lookups over a DFZ-profile table.
 
     The packed backend exists for exactly this number: the reference
     node trie answers a lookup with up to 33 pointer hops; the packed
     arrays answer it with three array loads per stride level (at most
-    three levels at width 32). The sharded backend walks the same node
-    graph as the reference through a splice, so it races as the "seam
-    cost" control. Every backend is verified address-for-address against
-    the reference on the full probe set before any timing is recorded,
-    and the packed backend's memory footprint is reported per prefix
+    three levels at width 32). The packed backend is verified
+    address-for-address against the reference on the full probe set
+    before any timing is recorded, and its memory footprint is reported
+    per prefix
     (bytes/prefix is the figure the cache-aware papers compare on).
     The acceptance floor: packed >= 2x reference lookups/sec.
     """
@@ -355,16 +215,16 @@ def test_bench_lookup_packed():
     rng = random.Random(BENCH_SEED + 4)
     registry = NexthopRegistry()
     nexthops = registry.create_many(8)
-    # Same pinned first-octet spread as the sharded snapshot bench.
+    # The default profile shrinks the allocated first-octet space with
+    # the table size; a real DFZ table occupies most of it at every
+    # size, so pin that spread explicitly.
     profile = TableProfile(allocated_fraction=0.85, allocated_runs=40)
     table = generate_table(prefix_count, nexthops, rng, profile=profile)
 
     reference = FibTrie(32)
-    sharded = ShardedBackend(32)
     packed = PackedBackend(32)
     for prefix, nexthop in table.items():
         reference.set_ot(prefix, nexthop)
-        sharded.set_ot(prefix, nexthop)
         packed.set_ot(prefix, nexthop)
 
     # Probe set: half uniform-random addresses, half inside live
@@ -376,11 +236,9 @@ def test_bench_lookup_packed():
         span = 1 << (32 - prefix.length)
         addresses.append(prefix.value + rng.randrange(span))
 
-    # Correctness fencing before timing: all backends, every probe.
+    # Correctness fencing before timing: every probe.
     for address in addresses:
-        expected = reference.lookup_ot(address)
-        assert sharded.lookup_ot(address) == expected
-        assert packed.lookup_ot(address) == expected
+        assert packed.lookup_ot(address) == reference.lookup_ot(address)
 
     def race(lookup) -> float:
         best = float("inf")
@@ -392,7 +250,6 @@ def test_bench_lookup_packed():
         return best
 
     reference_s = race(reference.lookup_ot)
-    sharded_s = race(sharded.lookup_ot)
     packed_s = race(packed.lookup_ot)
 
     probes = len(addresses)
@@ -406,13 +263,10 @@ def test_bench_lookup_packed():
                 f"{len(table)}-prefix DFZ-profile table (200k x REPRO_SCALE)"
             ),
             "reference_s": round(reference_s, 6),
-            "sharded_s": round(sharded_s, 6),
             "packed_s": round(packed_s, 6),
             "reference_lookups_per_s": round(probes / reference_s, 1),
-            "sharded_lookups_per_s": round(probes / sharded_s, 1),
             "packed_lookups_per_s": round(probes / packed_s, 1),
             "packed_speedup_vs_reference": round(speedup_vs_reference, 2),
-            "packed_speedup_vs_sharded": round(sharded_s / packed_s, 2),
             "packed_ot_bytes": stats["ot_bytes"],
             "packed_bytes_per_prefix": round(
                 stats["ot_bytes"] / len(table), 1
@@ -422,7 +276,6 @@ def test_bench_lookup_packed():
         },
     )
     packed.close()
-    sharded.close()
     assert speedup_vs_reference >= 2.0, (
         f"packed lookup speedup {speedup_vs_reference:.2f}x below the "
         "2x floor"

@@ -60,9 +60,9 @@ class SmaltaManager:
         #: keeps working).
         self.obs = obs if obs is not None else Observability(clock=clock)
         #: ``backend`` selects the trie implementation: a name ("single"
-        #: or "sharded"), a ready-made instance, or None to honor the
+        #: or "packed"), a ready-made instance, or None to honor the
         #: ``SMALTA_BACKEND`` environment variable (the CI matrix leg
-        #: replays the whole suite with it set to "sharded").
+        #: replays the whole suite with it set to "packed").
         if backend is None or isinstance(backend, str):
             trie_backend = make_backend(backend, width=width, obs=self.obs)
         else:
@@ -451,5 +451,5 @@ class SmaltaManager:
         }
 
     def close(self) -> None:
-        """Release backend resources (e.g. the sharded snapshot pool)."""
+        """Release the trie backend's resources."""
         self.state.trie.close()

@@ -111,26 +111,15 @@ class _SetInterner:
         return got
 
 
-def _bottom_up(root: _ONode, context: Nexthop = DROP) -> None:
-    """Passes 1+2: compute effective inherited labels and candidate sets.
-
-    ``context`` is the effective nexthop inherited from above the root —
-    DROP for a whole-table run, or the covering label when the root is a
-    detached subtree (the sharded snapshot runs one pass per shard).
-    Nodes arriving with a non-empty ``nhset`` are treated as already
-    solved leaves: their candidate set is kept verbatim, which is how the
-    sharded coordinator grafts worker-computed shard sets into its top
-    tree before merging upward.
-    """
+def _bottom_up(root: _ONode) -> None:
+    """Passes 1+2: compute effective inherited labels and candidate sets."""
     interner = _SetInterner()
     # Iterative post-order: (node, inherited, expanded?) frames.
-    stack: list[tuple[_ONode, Nexthop, bool]] = [(root, context, False)]
+    stack: list[tuple[_ONode, Nexthop, bool]] = [(root, DROP, False)]
     while stack:
         node, inherited, expanded = stack.pop()
         eff = node.label if node.label is not None else inherited
         if not expanded:
-            if node.nhset:
-                continue
             node.eff = eff
             stack.append((node, inherited, True))
             if node.right is not None:
@@ -147,21 +136,10 @@ def _bottom_up(root: _ONode, context: Nexthop = DROP) -> None:
             node.nhset = interner.merge(left_set, right_set)
 
 
-def _top_down(
-    root: _ONode,
-    width: int,
-    assigned: Nexthop = DROP,
-    value: int = 0,
-    length: int = 0,
-) -> dict[Prefix, Nexthop]:
-    """Pass 3: assign nexthops top-down, emitting only necessary entries.
-
-    ``assigned``/``value``/``length`` seed the walk so a detached subtree
-    (a shard rooted at its base prefix) emits exactly the slice of the
-    whole-table output covering its address space, in the same order.
-    """
+def _top_down(root: _ONode, width: int) -> dict[Prefix, Nexthop]:
+    """Pass 3: assign nexthops top-down, emitting only necessary entries."""
     out: dict[Prefix, Nexthop] = {}
-    stack: list[tuple[_ONode, Nexthop, int, int]] = [(root, assigned, value, length)]
+    stack: list[tuple[_ONode, Nexthop, int, int]] = [(root, DROP, 0, 0)]
     while stack:
         node, assigned, value, length = stack.pop()
         if assigned in node.nhset:

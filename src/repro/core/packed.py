@@ -3,9 +3,9 @@
 The reference :class:`~repro.core.trie.FibTrie` answers a longest-prefix
 lookup by chasing one Python object per bit — up to 33 pointer hops and
 attribute loads per address at IPv4 width. ``PackedBackend`` keeps that
-node trie as a *shadow* (so every structural walk the ``TrieBackend``
-protocol demands — ψ walks, the auditor, ``ortc_from_trie``, entry
-iteration — behaves byte-for-byte like the reference), and overlays two
+node trie as a *shadow* (so every structural walk ``SmaltaState`` and
+the auditor make — ψ walks, ``ortc_from_trie``, entry iteration —
+behaves byte-for-byte like the reference), and overlays two
 level-compressed stride tables (one per label plane, OT and AT) built
 from flat ``array`` buffers with no per-node objects at all:
 
@@ -41,7 +41,7 @@ carry over wholesale.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.core.trie import FibTrie, Node
 from repro.net.nexthop import DROP, Nexthop
@@ -352,7 +352,7 @@ class _PackedTable:
 
 
 class PackedBackend(FibTrie):
-    """``TrieBackend`` with array-packed OT/AT lookup planes.
+    """A :class:`FibTrie` with array-packed OT/AT lookup planes.
 
     Structurally this *is* the reference trie — every node, label, and
     bookkeeping pointer lives in the inherited shadow, so the auditor,

@@ -46,11 +46,9 @@ class SmaltaState:
         obs: Optional[Observability] = None,
         backend: Optional[FibTrie] = None,
     ) -> None:
-        #: The OT/AT structure. Any ``TrieBackend`` (see
-        #: :mod:`repro.core.backend`) works here; the algorithms address
-        #: it only through the protocol surface, so the reference trie
-        #: and the sharded backend are interchangeable — the differential
-        #: suite holds their download logs byte-identical.
+        #: The OT/AT structure: the reference trie or any backend from
+        #: :mod:`repro.core.backend` (all are ``FibTrie`` objects). The
+        #: differential suite holds their download logs byte-identical.
         self.trie = backend if backend is not None else FibTrie(width)
         self.trie.at_observer = self._on_at_change
         self._events: list[tuple[Prefix, Optional[Nexthop], Optional[Nexthop]]] = []
@@ -406,20 +404,18 @@ class SmaltaState:
     # -- snapshot -----------------------------------------------------------
 
     @must_consume
-    def snapshot(self, fast: bool = True, count: bool = True) -> list[FibDownload]:
+    def snapshot(self, count: bool = True) -> list[FibDownload]:
         """snapshot(OT): rebuild the AT optimally via ORTC (Section 2.1).
 
         Returns the FIB-download delta between the pre- and post-snapshot
         ATs using the paper's Graceful-Restart accounting (a changed
         nexthop is a Delete followed by an Insert).
 
-        The rebuild itself is delegated to the backend
-        (:meth:`~repro.core.trie.FibTrie.ortc_table`): with ``fast=True``
-        (the default) the reference trie mirrors itself into the ORTC
-        scratch tree in one walk, while the sharded backend may fan the
-        work out per shard onto a process pool; ``fast=False`` keeps the
-        entry-stream baseline the batch benchmark compares against. All
-        paths produce the identical optimal table.
+        The rebuild itself is :meth:`~repro.core.trie.FibTrie.ortc_table`:
+        the trie mirrors itself into the ORTC scratch tree in one walk
+        instead of re-inserting every OT entry bit by bit from the root,
+        and the result is identical to the entry-stream
+        :func:`~repro.core.ortc.ortc`.
 
         ``count=False`` suppresses the ``smalta_snapshots_total``
         increment — used by the runtime toggle, which accounts its
@@ -431,7 +427,7 @@ class SmaltaState:
         with self.obs.span(
             "smalta_ortc", "ORTC rebuild inside snapshot(OT)"
         ):
-            new_table = trie.ortc_table(fast=fast)
+            new_table = trie.ortc_table()
         old_table = trie.at_table()
         downloads = diff_tables(old_table, new_table)
 
@@ -452,7 +448,7 @@ class SmaltaState:
         self._g_at_size.set(float(trie.at_size))
         return downloads
 
-    def rebuild(self, fast: bool = True, count: bool = True) -> int:
+    def rebuild(self, count: bool = True) -> int:
         """Run :meth:`snapshot` and *deliberately* discard the delta.
 
         The consuming wrapper for callers that only want the rebuilt AT
@@ -460,7 +456,7 @@ class SmaltaState:
         is explicit in the API instead of a bare unused return value
         (flow rule REPRO008). Returns the size of the discarded burst.
         """
-        return len(self.snapshot(fast=fast, count=count))
+        return len(self.snapshot(count=count))
 
     def _rebuild_preimages(self) -> None:
         """Recompute deaggregate preimage pointers for a fresh AT.

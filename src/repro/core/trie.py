@@ -76,15 +76,9 @@ class FibTrie:
     changes for FIB-download generation.
     """
 
-    def __init__(self, width: int = 32, base: Optional[Prefix] = None) -> None:
+    def __init__(self, width: int = 32) -> None:
         self.width = width
-        #: With ``base`` set, this trie is rooted at that prefix instead
-        #: of the whole address space: navigation skips the base bits, so
-        #: the structure only ever holds prefixes under ``base``. The
-        #: sharded backend builds one such subtrie per /8 and splices its
-        #: root into the root-table trie as a real child node.
-        self.root = Node(base if base is not None else Prefix.root(width), None)
-        self._skip = self.root.prefix.length
+        self.root = Node(Prefix.root(width), None)
         #: Off-tree sentinel representing the *unrouted* covering context
         #: (the paper's nil P with nexthop ε): explicit DROP entries are
         #: registered as its deaggregates so the update algorithms' "visit
@@ -102,9 +96,7 @@ class FibTrie:
         """The node for ``prefix``, or None when absent."""
         node: Optional[Node] = self.root
         value = prefix.value
-        for shift in range(
-            self.width - 1 - self._skip, self.width - 1 - prefix.length, -1
-        ):
+        for shift in range(self.width - 1, self.width - 1 - prefix.length, -1):
             if node is None:
                 return None
             node = node.right if (value >> shift) & 1 else node.left
@@ -114,9 +106,7 @@ class FibTrie:
         """The node for ``prefix``, creating intermediate nodes as needed."""
         node = self.root
         value = prefix.value
-        for shift in range(
-            self.width - 1 - self._skip, self.width - 1 - prefix.length, -1
-        ):
+        for shift in range(self.width - 1, self.width - 1 - prefix.length, -1):
             bit = (value >> shift) & 1
             nxt = node.right if bit else node.left
             if nxt is None:
@@ -243,9 +233,7 @@ class FibTrie:
         node: Optional[Node] = self.root
         yield self.root
         value = prefix.value
-        for shift in range(
-            self.width - 1 - self._skip, self.width - 1 - prefix.length, -1
-        ):
+        for shift in range(self.width - 1, self.width - 1 - prefix.length, -1):
             node = node.right if (value >> shift) & 1 else node.left
             if node is None:
                 return
@@ -332,19 +320,17 @@ class FibTrie:
     def at_table(self) -> dict[Prefix, Nexthop]:
         return dict(self.at_entries())
 
-    def ortc_table(self, fast: bool = True) -> dict[Prefix, Nexthop]:
+    def ortc_table(self) -> dict[Prefix, Nexthop]:
         """The optimal aggregation of this trie's OT (the snapshot core).
 
-        This is the backend seam :meth:`~repro.core.smalta.SmaltaState.
-        snapshot` calls: the sharded backend overrides it to fan the work
-        out per shard. ``fast`` selects the trie-mirroring path over the
-        entry-stream baseline; both produce the identical table.
+        :meth:`~repro.core.smalta.SmaltaState.snapshot` calls this; it
+        feeds ORTC straight from the trie (:func:`~repro.core.ortc.
+        ortc_from_trie`), and the result is identical to
+        ``ortc(self.ot_entries(), self.width)``.
         """
-        from repro.core.ortc import ortc, ortc_from_trie
+        from repro.core.ortc import ortc_from_trie
 
-        if fast:
-            return ortc_from_trie(self)
-        return ortc(self.ot_entries(), self.width)
+        return ortc_from_trie(self)
 
     @property
     def ot_size(self) -> int:

@@ -9,7 +9,7 @@ tenants' backpressured queues once the loop is up.
 Examples::
 
     python -m repro.daemon --control-port 7547 --metrics-port 9100 \
-        --tenant r1 --tenant r2,backend=sharded
+        --tenant r1 --tenant r2,backend=packed
     python -m repro.daemon --tenant r1 \
         --replay r1=tests/data/golden_trace.txt --batch-size 8
 """

@@ -41,7 +41,9 @@ class DaemonClient:
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "DaemonClient":
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=protocol.MAX_LINE_BYTES
+        )
         return cls(reader, writer)
 
     async def close(self) -> None:

@@ -145,7 +145,10 @@ class AggregationDaemon:
                 if not tenant.running:
                     tenant.start()
             control = await asyncio.start_server(
-                self._handle_control, host, control_port
+                self._handle_control,
+                host,
+                control_port,
+                limit=protocol.MAX_LINE_BYTES,
             )
             metrics = await asyncio.start_server(
                 self._handle_scrape, host, metrics_port
@@ -212,7 +215,21 @@ class AggregationDaemon:
             while True:
                 try:
                     line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
+                except ConnectionError:
+                    break
+                except ValueError:
+                    # The line outgrew the stream limit: refuse it in-band,
+                    # then drop the connection, whose framing is lost.
+                    self._c_proto_errors.inc()
+                    writer.write(
+                        protocol.error_response(
+                            None, f"frame exceeds {protocol.MAX_LINE_BYTES} bytes"
+                        )
+                    )
+                    try:
+                        await writer.drain()
+                    except ConnectionError:
+                        pass
                     break
                 if len(line) == 0:
                     break

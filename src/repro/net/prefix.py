@@ -174,9 +174,8 @@ class Prefix:
 
     def __reduce__(self) -> tuple[type["Prefix"], tuple[int, int, int]]:
         # The immutability guard (__setattr__ raises) breaks pickle's
-        # default state restore; rebuilding through the constructor keeps
-        # instances picklable, which the sharded snapshot's process pool
-        # relies on.
+        # default state restore, which ``copy`` shares; rebuilding through
+        # the constructor keeps instances picklable and copyable.
         return (Prefix, (self.value, self.length, self.width))
 
     def __repr__(self) -> str:

@@ -199,7 +199,7 @@ class RouterPipeline:
         self._forward_batch(updates)
 
     def close(self) -> None:
-        """Release backend resources (sharded snapshot pools etc.)."""
+        """Release the trie backend's resources."""
         self.zebra.manager.close()
 
     # -- internals ---------------------------------------------------------------------

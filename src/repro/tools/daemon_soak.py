@@ -92,7 +92,7 @@ def build_workloads(
     nexthop_count: int,
     seed: int,
 ) -> list[TenantWorkload]:
-    """Seeded per-tenant workloads; backends alternate single/sharded."""
+    """Seeded per-tenant workloads; backends alternate single/packed."""
     nexthops = [Nexthop(i + 1, f"nh{i + 1}") for i in range(nexthop_count)]
     workloads: list[TenantWorkload] = []
     for index in range(tenants):
@@ -102,7 +102,7 @@ def build_workloads(
         workloads.append(
             TenantWorkload(
                 name=f"t{index}",
-                backend="sharded" if index % 2 else "single",
+                backend="packed" if index % 2 else "single",
                 table=table,
                 trace=trace,
             )

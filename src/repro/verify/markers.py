@@ -37,18 +37,3 @@ def must_consume(func: F) -> F:
     """
     return func
 
-
-def shard_entry(func: F) -> F:
-    """Mark ``func`` as a shard-parallel entry point.
-
-    Rule **REPRO015** (shard escape) treats every function so marked —
-    alongside the public ``SmaltaManager`` methods — as code that may run
-    concurrently on disjoint shards: a module-level mutable written from
-    two or more entry points is state that escapes the shard partition
-    and is reported. The canonical subjects are the per-shard ORTC
-    snapshot workers (:mod:`repro.core.shards`), which a process pool
-    executes with no shared interpreter state at all.
-
-    Identity at runtime, like :func:`must_consume`.
-    """
-    return func

@@ -18,14 +18,12 @@ and a net ``FibDownload`` stream that replays to exactly the batched
 AT/FIB. This is the machinery that keeps every perf refactor honest.
 
 A fourth axis crosses all of the above: every scenario replays on the
-**sharded** backend (8 subtries behind a /3 boundary at this width, with
-the stitched per-shard snapshot protocol forced on) and on the **packed**
-backend (array-packed OT/AT lookup planes over a shadow trie), each of
-which must produce *byte-identical* download streams and tables — not
-merely equivalent ones — against the reference single trie. The packed
-replay additionally proves its incrementally patched arrays equal to a
-from-scratch rebuild and its LPM answers equal to the reference trie's
-over the whole address space.
+**packed** backend (array-packed OT/AT lookup planes over a shadow
+trie), which must produce *byte-identical* download streams and tables
+— not merely equivalent ones — against the reference single trie. The
+packed replay additionally proves its incrementally patched arrays
+equal to a from-scratch rebuild and its LPM answers equal to the
+reference trie's over the whole address space.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from repro.core.manager import SmaltaManager
 from repro.core.ortc import ortc, ortc_from_trie
 from repro.core.packed import PackedBackend
 from repro.core.policy import PeriodicUpdateCountPolicy
-from repro.core.shards import ShardedBackend
 from repro.core.smalta import SmaltaState
 from repro.net.nexthop import Nexthop
 from repro.net.prefix import Prefix
@@ -88,15 +85,8 @@ def bursts_of(ops, boundaries):
 
 
 def make_state(backend: str) -> SmaltaState:
-    """A fresh state on the named backend (sharded: /3 boundary → 8
-    shards at width 6, stitched snapshots forced so the per-shard
-    protocol is exercised in-process on every scenario; packed: stride
-    plan (3, 3) so the multi-level block machinery is exercised too)."""
-    if backend == "sharded":
-        return SmaltaState(
-            WIDTH,
-            backend=ShardedBackend(WIDTH, boundary=3, force_stitch=True),
-        )
+    """A fresh state on the named backend (packed: stride plan (3, 3) so
+    the multi-level block machinery is exercised too)."""
     if backend == "packed":
         return SmaltaState(WIDTH, backend=PackedBackend(WIDTH, strides=(3, 3)))
     return SmaltaState(WIDTH)
@@ -164,35 +154,10 @@ def check_agreement(ops, boundaries) -> None:
         batched.trie.ot_entries(), WIDTH
     )
 
-    # Backend differential: the sharded backend must be byte-identical
+    # Backend differential: the packed backend must be byte-identical
     # to the reference trie — same download stream entry for entry (not
-    # merely equivalent), same OT, same AT labels.
-    sharded_seq, sharded_shadow, sharded_seq_downloads = run_sequential(
-        ops, backend="sharded"
-    )
-    assert sharded_shadow == shadow
-    assert sharded_seq_downloads == seq_downloads
-    assert sharded_seq.ot_table() == shadow
-    assert sharded_seq.at_table() == sequential.at_table()
-    sharded_seq.verify()
-
-    sharded_batched = make_state("sharded")
-    sharded_downloads: list[FibDownload] = []
-    for burst in bursts_of(ops, boundaries):
-        sharded_downloads.extend(sharded_batched.apply_batch(burst))
-    assert sharded_downloads == downloads
-    assert sharded_batched.ot_table() == shadow
-    assert sharded_batched.at_table() == batched.at_table()
-    sharded_batched.verify()
-
-    # The stitched per-shard snapshot equals the single-trie mirror in
-    # content AND iteration order — snapshot bursts are diffed in table
-    # order, so ordering is part of download-log byte-identity.
-    stitched = sharded_batched.trie.ortc_table(fast=True)
-    assert list(stitched.items()) == list(ortc_from_trie(batched.trie).items())
-
-    # Packed backend differential: same byte-identity bar as sharded —
-    # sequential and batched replays, entry for entry.
+    # merely equivalent), same OT, same AT labels — on both the
+    # sequential and the batched replay.
     packed_seq, packed_shadow, packed_seq_downloads = run_sequential(
         ops, backend="packed"
     )

@@ -44,7 +44,7 @@ class TestStateRebuild:
     def test_rebuild_forwards_flags(self) -> None:
         state = SmaltaState(8)
         state.load(bp("10"), A)
-        size = state.rebuild(fast=False, count=False)
+        size = state.rebuild(count=False)
         assert size >= 0
         state.verify()
 

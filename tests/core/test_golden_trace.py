@@ -26,7 +26,6 @@ from repro.core.downloads import DownloadLog
 from repro.core.equivalence import semantically_equivalent
 from repro.core.manager import SmaltaManager
 from repro.core.policy import PeriodicUpdateCountPolicy
-from repro.core.shards import ShardedBackend
 from repro.net.update import iter_bursts
 from repro.obs.export import (
     flatten_samples,
@@ -161,22 +160,21 @@ def check_metrics(manager: SmaltaManager, expected_counters: dict) -> None:
     registry = manager.obs.registry
     from repro.obs.registry import Counter, Gauge
 
-    # The shard-routing and packed-patch series exist only when
-    # $SMALTA_BACKEND selects those backends (the CI matrix legs); they
-    # are implementation telemetry, not workload behaviour, so the
-    # freeze skips them.
+    # The packed-patch series exist only when $SMALTA_BACKEND selects
+    # that backend (the CI matrix leg); they are implementation
+    # telemetry, not workload behaviour, so the freeze skips them.
     counters = {
         i.key: int(i.value)
         for i in registry.collect()
         if isinstance(i, Counter)
-        and not i.key.startswith(("smalta_shard", "smalta_packed"))
+        and not i.key.startswith("smalta_packed")
     }
     assert counters == expected_counters
     gauges = {
         i.key: int(i.value)
         for i in registry.collect()
         if isinstance(i, Gauge)
-        and not i.key.startswith(("smalta_shard", "smalta_packed"))
+        and not i.key.startswith("smalta_packed")
     }
     assert gauges == EXPECTED_GAUGES
     burst_hist = registry.get("smalta_snapshot_burst_size")
@@ -235,30 +233,16 @@ def test_golden_paths_agree(golden):
     assert semantically_equivalent(seq.fib_table(), bat.fib_table(), 32)
 
 
-# -- sharded backend: same trace, same frozen numbers, same bytes ----------
+# -- packed backend: same trace, same frozen numbers, same bytes -----------
 #
 # The golden numbers above were frozen on the single reference trie. The
-# sharded backend must not move a single one of them — and beyond the
+# packed backend must not move a single one of them — and beyond the
 # summary, its download *stream* (every FibDownload, in order, including
 # the initial End-of-RIB burst) must match the reference entry for entry.
-# The sequential replay runs the stitched per-shard snapshot protocol
-# (``force_stitch=True``); the batched replay runs the default spliced
-# mirror path, so both snapshot implementations are pinned to the trace.
-
-
-def _sharded_manager(table, force_stitch: bool) -> SmaltaManager:
-    backend = ShardedBackend(32, force_stitch=force_stitch)
-    manager = SmaltaManager(
-        width=32,
-        policy=PeriodicUpdateCountPolicy(SNAPSHOT_SPACING),
-        download_log=DownloadLog(keep_entries=True),
-        backend=backend,
-    )
-    assert manager.backend_name == "sharded"
-    for prefix, nexthop in table.items():
-        manager.state.load(prefix, nexthop)
-    manager.end_of_rib()
-    return manager
+# Its lookups read flat stride arrays over a shadow trie, so this freeze
+# is what proves the array planes never leak into observable behaviour —
+# and on top of it the incremental patches must equal a from-scratch
+# rebuild after the whole flap-heavy trace.
 
 
 def _reference_manager(table) -> SmaltaManager:
@@ -272,46 +256,6 @@ def _reference_manager(table) -> SmaltaManager:
         manager.state.load(prefix, nexthop)
     manager.end_of_rib()
     return manager
-
-
-def test_golden_sequential_sharded(golden):
-    table, trace = golden
-    reference = _reference_manager(table)
-    sharded = _sharded_manager(table, force_stitch=True)
-    for update in trace:
-        reference.apply(update)
-        sharded.apply(update)
-    check_common(sharded)
-    summary = sharded.summary()
-    assert summary["update_downloads"] == EXPECTED_SEQUENTIAL_UPDATE_DOWNLOADS
-    assert summary == reference.summary()
-    assert sharded.log.downloads == reference.log.downloads
-    sharded.close()
-
-
-def test_golden_batched_sharded(golden):
-    table, trace = golden
-    reference = _reference_manager(table)
-    sharded = _sharded_manager(table, force_stitch=False)
-    for burst in iter_bursts(trace, max_gap_s=0.02):
-        reference.apply_batch(burst)
-        sharded.apply_batch(burst)
-    check_common(sharded)
-    summary = sharded.summary()
-    assert summary["update_downloads"] == EXPECTED_BATCH_UPDATE_DOWNLOADS
-    assert summary == reference.summary()
-    assert sharded.log.downloads == reference.log.downloads
-    sharded.close()
-
-
-# -- packed backend: same trace, same frozen numbers, same bytes -----------
-#
-# Third backend, same bar. The packed backend's internal representation
-# is the first that is NOT node-isomorphic to the reference trie (flat
-# stride arrays over a shadow), so this freeze is what proves the array
-# planes never leak into observable behaviour — and on top of it the
-# incremental patches must equal a from-scratch rebuild after the whole
-# flap-heavy trace.
 
 
 def _packed_manager(table) -> SmaltaManager:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.backend import backend_name_of, make_backend
+from repro.core.backend import backend_name_of, make_backend, resolve_backend_name
 from repro.core.packed import PackedBackend, plan_strides
 from repro.core.trie import FibTrie
 from repro.fib.linear import LinearFib
@@ -57,14 +57,28 @@ class TestBackendRegistry:
         backend = make_backend("packed", width=WIDTH)
         assert isinstance(backend, PackedBackend)
         assert backend_name_of(backend) == "packed"
+        assert backend_name_of(FibTrie(WIDTH)) == "single"
 
     def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv("SMALTA_BACKEND", "packed")
+        monkeypatch.setenv("SMALTA_BACKEND", " PACKED ")
+        assert resolve_backend_name() == "packed"
         assert isinstance(make_backend(width=WIDTH), PackedBackend)
 
+    def test_default_is_single(self, monkeypatch):
+        monkeypatch.delenv("SMALTA_BACKEND", raising=False)
+        assert resolve_backend_name() == "single"
+        assert type(make_backend(width=WIDTH)) is FibTrie
+
+    def test_unknown_name_raises_naming_it(self, monkeypatch):
+        error = r"'sharded' \(known: packed, single\)"
+        with pytest.raises(ValueError, match=error):
+            make_backend("sharded", width=WIDTH)
+        monkeypatch.setenv("SMALTA_BACKEND", "sharded")
+        with pytest.raises(ValueError, match=error):
+            make_backend(width=WIDTH)
+
     def test_strides_option(self):
-        backend = make_backend("packed", width=WIDTH, strides=(2, 2, 2))
-        assert isinstance(backend, PackedBackend)
+        backend = PackedBackend(WIDTH, strides=(2, 2, 2))
         assert backend.strides == (2, 2, 2)
 
 

@@ -175,27 +175,27 @@ async def live_session() -> None:
 
         # tenant-add (wire) + tenant-list
         added = await client.call(
-            "tenant-add", name="r2", backend="sharded", keep_entries=True
+            "tenant-add", name="r2", backend="packed", keep_entries=True
         )
         assert added == {"added": "r2"}
         listing = await client.call("tenant-list")
         assert [entry["name"] for entry in listing] == ["r1", "r2"]
-        assert {entry["backend"] for entry in listing} == {"single", "sharded"}
+        assert {entry["backend"] for entry in listing} == {"single", "packed"}
         assert all(entry["running"] for entry in listing)
         with pytest.raises(CtlError, match="already exists"):
             await client.call("tenant-add", name="r2")
 
-        # the packed backend threads through the same TenantConfig path
-        # and reports its resolved name over the wire
+        # a second packed tenant takes the same feed as r1, so the two
+        # backends can be held to byte-identical download logs below
         await client.call(
             "tenant-add", name="r3", backend="packed", keep_entries=True
         )
         listing = await client.call("tenant-list")
-        assert {entry["backend"] for entry in listing} == {
+        assert [entry["backend"] for entry in listing] == [
             "single",
-            "sharded",
             "packed",
-        }
+            "packed",
+        ]
 
         # end-of-rib + feed: r1 sequential, r2 one burst then the rest
         await client.call("end-of-rib", tenant="r1")
@@ -296,6 +296,10 @@ async def live_session() -> None:
             ("no such tenant", lambda: client.call("drain", tenant="r9")),
             ("no such tenant", lambda: client.call("summary", tenant="r2")),
             ("'updates' list", lambda: client.call("feed", tenant="r1")),
+            (
+                r"unknown trie backend 'sharded' \(known: packed, single\)",
+                lambda: client.call("tenant-add", name="r4", backend="sharded"),
+            ),
         ]:
             with pytest.raises(CtlError, match=exc_pattern):
                 await call()
@@ -357,6 +361,79 @@ async def raw_frames_session() -> None:
 
 def test_malformed_frames_keep_serving():
     asyncio.run(raw_frames_session())
+
+
+#: asyncio's default stream limit, which control frames may exceed.
+ASYNCIO_DEFAULT_LIMIT = 64 * 1024
+
+
+async def large_frames_session() -> None:
+    """Frames past 64 KiB travel both ways, up to MAX_LINE_BYTES."""
+    daemon = AggregationDaemon()
+    daemon.add_tenant(TenantConfig(name="r1", backend="single"), start=False)
+    await daemon.start()
+    client = await DaemonClient.connect("127.0.0.1", daemon.control_port)
+    try:
+        nexthop = Nexthop(7, "ge-0-0-1.upstream-transit-a.core1.example.net")
+        updates = [
+            protocol.encode_update(
+                RouteUpdate.announce(Prefix((10 << 24) | (i << 8), 24, 32), nexthop)
+            )
+            for i in range(1000)
+        ]
+        args = {"tenant": "r1", "updates": updates, "burst": True, "end_of_rib": True}
+        assert len(protocol.request_line(1, "feed", args)) > ASYNCIO_DEFAULT_LIMIT
+        assert await client.call("feed", **args) == {"fed": 1000}
+        await client.call("drain", tenant="r1")
+
+        dump = await client.call("routes-dump", tenant="r1", table="ot")
+        assert len(dump["routes"]) == 1000
+        assert len(protocol.ok_response(1, dump)) > ASYNCIO_DEFAULT_LIMIT
+    finally:
+        await client.close()
+        await daemon.stop()
+
+
+def test_frames_over_64_kib_both_ways():
+    asyncio.run(large_frames_session())
+
+
+async def oversized_frame_session() -> None:
+    """A line past MAX_LINE_BYTES: one error frame, then that connection
+    closes; the counter moves and other connections are served."""
+    daemon = AggregationDaemon()
+    await daemon.start()
+    try:
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", daemon.control_port
+        )
+        # No newline: the daemon must refuse the line without waiting
+        # for its end, and it has read every byte sent when it does.
+        writer.write(b"x" * (protocol.MAX_LINE_BYTES + 1))
+        await writer.drain()
+        frame = protocol.decode_line(await reader.readline())
+        assert frame == {
+            "id": None,
+            "ok": False,
+            "error": f"frame exceeds {protocol.MAX_LINE_BYTES} bytes",
+        }
+        assert await reader.readline() == b""
+        writer.close()
+        await writer.wait_closed()
+        errors = flatten_samples(daemon.obs.registry)["daemon_protocol_errors_total"]
+        assert errors == 1.0
+
+        client = await DaemonClient.connect("127.0.0.1", daemon.control_port)
+        try:
+            assert (await client.call("ping"))["pong"] is True
+        finally:
+            await client.close()
+    finally:
+        await daemon.stop()
+
+
+def test_oversized_frame_gets_error_frame_and_close():
+    asyncio.run(oversized_frame_session())
 
 
 async def http_get(port: int, path: str) -> tuple[str, str]:
@@ -476,11 +553,11 @@ def test_ctl_cli_end_to_end(capsys):
         out = capsys.readouterr().out
         assert "uptime:" in out and "r1" in out and "single" in out
 
-        assert run_ctl(port, "tenant-add", "r2", "--backend", "sharded") == 0
+        assert run_ctl(port, "tenant-add", "r2", "--backend", "packed") == 0
         capsys.readouterr()
         assert run_ctl(port, "tenant-list") == 0
         out = capsys.readouterr().out
-        assert "r1" in out and "r2" in out and "sharded" in out
+        assert "r1" in out and "r2" in out and "packed" in out
 
         assert run_ctl(port, "routes-dump", "r1", "--table", "fib") == 0
         out = capsys.readouterr().out

@@ -5,11 +5,10 @@ Every scenario shape of the core batch differential harness
 seeded 200-sequence generator, same burst partitions) replays through a
 hosted daemon tenant and must produce a download log **entry-for-entry
 identical** to a batch :class:`~repro.router.pipeline.RouterPipeline`
-run of the same feed. Every trie backend is crossed in every scenario:
-the reference single trie, the sharded backend (/3 boundary → 8 shards
-at width 6, stitched snapshots forced), and the packed backend (3+3
-stride plan), so one test run covers the full backend × path matrix
-regardless of ``SMALTA_BACKEND``.
+run of the same feed. Both trie backends are crossed in every scenario:
+the reference single trie and the packed backend (3+3 stride plan), so
+one test run covers the full backend × path matrix regardless of
+``SMALTA_BACKEND``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from hypothesis import strategies as st
 from repro.core.downloads import DownloadLog, FibDownload
 from repro.core.policy import PeriodicUpdateCountPolicy, SnapshotPolicy
 from repro.core.packed import PackedBackend
-from repro.core.shards import ShardedBackend
 from repro.core.trie import FibTrie
 from repro.daemon.server import AggregationDaemon
 from repro.daemon.tenant import TenantConfig
@@ -48,11 +46,9 @@ Op = tuple[Prefix, "Nexthop | None"]
 
 
 def make_backend_instance(backend: str) -> "str | FibTrie":
-    """Width-6 backends: the sharded and packed flavors need the
-    explicit width-6 instances the core harness uses (the /8 boundary
-    and 16+8+8 stride defaults assume IPv4 widths)."""
-    if backend == "sharded":
-        return ShardedBackend(WIDTH, boundary=3, force_stitch=True)
+    """Width-6 backends: the packed flavor needs the explicit width-6
+    instance the core harness uses (the 16+8+8 stride default assumes
+    IPv4 widths)."""
     if backend == "packed":
         return PackedBackend(WIDTH, strides=(3, 3))
     return "single"
@@ -139,13 +135,10 @@ async def daemon_replay(
 
 def check_daemon_differential(ops: list[Op], boundaries: list[int]) -> None:
     """The full matrix for one scenario: {sequential, batched} ×
-    {single, sharded, packed}, daemon log == pipeline log, byte for
-    byte."""
+    {single, packed}, daemon log == pipeline log, byte for byte."""
     scenarios: list[tuple[list[Op], Optional[list[int]], str]] = [
         (ops, None, "single"),
         (ops, boundaries, "single"),
-        (ops, None, "sharded"),
-        (ops, boundaries, "sharded"),
         (ops, None, "packed"),
         (ops, boundaries, "packed"),
     ]
@@ -158,8 +151,8 @@ def check_daemon_differential(ops: list[Op], boundaries: list[int]) -> None:
         )
     # The backends must also agree with each other (transitivity makes
     # this redundant — asserting it localizes a failure faster).
-    assert daemon_logs[0] == daemon_logs[2] == daemon_logs[4]
-    assert daemon_logs[1] == daemon_logs[3] == daemon_logs[5]
+    assert daemon_logs[0] == daemon_logs[2]
+    assert daemon_logs[1] == daemon_logs[3]
 
 
 @settings(
@@ -208,7 +201,7 @@ def test_many_tenants_one_daemon_stay_isolated():
             else:
                 ops.append((prefix, None))
         feeds.append(ops)
-    flavors = ("single", "sharded", "packed")
+    flavors = ("single", "packed")
     scenarios: list[tuple[list[Op], Optional[list[int]], str]] = [
         (ops, None, flavors[index % len(flavors)])
         for index, ops in enumerate(feeds)

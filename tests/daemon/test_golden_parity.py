@@ -5,7 +5,7 @@ bursts) replayed through daemon tenants must land on exactly the
 frozen ``summary()`` numbers of ``tests/core/test_golden_trace.py`` —
 same download counts, same snapshot bursts, same FIB sizes — once the
 daemon-only telemetry keys (``daemon_*``) are filtered out. Four
-tenants cover {sequential, batched} × {single, sharded} on ONE daemon,
+tenants cover {sequential, batched} × {single, packed} on ONE daemon,
 and ``routes-dump`` served over the live control socket must equal the
 batch pipeline's FIB rendered through the same codec.
 """
@@ -20,8 +20,6 @@ import pytest
 
 from repro.core.downloads import DownloadLog
 from repro.core.policy import PeriodicUpdateCountPolicy
-from repro.core.shards import ShardedBackend
-from repro.core.trie import FibTrie
 from repro.daemon import protocol
 from repro.daemon.ctl import DaemonClient
 from repro.daemon.feeds import feed_trace
@@ -53,12 +51,6 @@ def golden():
     return table, trace
 
 
-def make_backend(name: str) -> "str | FibTrie":
-    if name == "sharded":
-        return ShardedBackend(32, force_stitch=True)
-    return "single"
-
-
 def load_into(tenant_or_pipeline: "Tenant | RouterPipeline", table) -> None:
     """The golden fixture's startup shape: direct OT loads, pre-EOR."""
     if isinstance(tenant_or_pipeline, Tenant):
@@ -78,7 +70,7 @@ def pipeline_golden_run(
     pipeline = RouterPipeline(
         width=32,
         policy=PeriodicUpdateCountPolicy(SNAPSHOT_SPACING),
-        backend=make_backend(backend),
+        backend=backend,
         download_log=DownloadLog(keep_entries=True),
     )
     load_into(pipeline, table)
@@ -116,8 +108,8 @@ async def golden_daemon(table, trace: UpdateTrace) -> None:
     variants: list[tuple[str, str, bool]] = [
         ("seq-single", "single", False),
         ("bat-single", "single", True),
-        ("seq-sharded", "sharded", False),
-        ("bat-sharded", "sharded", True),
+        ("seq-packed", "packed", False),
+        ("bat-packed", "packed", True),
     ]
     daemon = AggregationDaemon()
     for name, backend, _ in variants:
@@ -126,7 +118,7 @@ async def golden_daemon(table, trace: UpdateTrace) -> None:
                 name=name,
                 width=32,
                 policy=PeriodicUpdateCountPolicy(SNAPSHOT_SPACING),
-                backend=make_backend(backend),
+                backend=backend,
                 keep_entries=True,
             ),
             start=False,

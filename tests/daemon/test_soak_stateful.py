@@ -180,7 +180,7 @@ class DaemonSoak(RuleBasedStateMachine):
     # -- rules: population -----------------------------------------------
 
     @rule(
-        backend=st.sampled_from(["single", "sharded", "packed"]),
+        backend=st.sampled_from(["single", "packed"]),
         spacing=st.sampled_from([3, 7]),
         faulty=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**16),

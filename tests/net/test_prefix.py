@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.prefix import IPV4_WIDTH, Prefix
@@ -127,3 +129,15 @@ class TestOrderingAndHashing:
 
 def test_ipv4_width_default():
     assert Prefix.from_string("0.0.0.0/0").width == IPV4_WIDTH
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefixes(8))
+def test_prefix_pickle_round_trip(prefix):
+    clone = pickle.loads(pickle.dumps(prefix))
+    assert clone == prefix and hash(clone) == hash(prefix)
+
+
+def test_prefix_pickle_round_trip_ipv4():
+    prefix = Prefix.from_string("203.0.113.0/24")
+    assert pickle.loads(pickle.dumps(prefix)) == prefix

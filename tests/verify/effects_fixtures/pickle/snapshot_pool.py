@@ -1,7 +1,7 @@
 """REPRO016 fixtures in the sharded-snapshot dispatch idiom.
 
-Models the coordinator side of :meth:`repro.core.shards.ShardedBackend.
-_run_shard_tasks`: the per-shard callable crosses a process boundary and
+Models the coordinator side of a per-shard snapshot fanned out onto a
+process pool: the per-shard callable crosses a process boundary and
 must therefore be a module-level function, never a closure over the
 coordinator's locals.
 """

@@ -1,8 +1,8 @@
-"""REPRO015 fixtures in the pool-worker idiom of the sharded snapshot.
+"""REPRO015 fixtures in the pool-worker idiom of a sharded snapshot.
 
-Models the failure mode :func:`repro.core.shards.snapshot_shard` must
-avoid: a worker that stashes results in module state *appears* to work
-single-process (``snapshot_workers=1`` runs workers inline) and silently
+Models the failure mode a per-shard snapshot worker must avoid: a
+worker that stashes results in module state *appears* to work
+single-process (a one-worker pool runs workers inline) and silently
 loses data the moment the pool forks — each process mutates its own copy
 of the module global.
 """
