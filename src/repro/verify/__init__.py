@@ -2,7 +2,8 @@
 
 The paper reports that the authors "automatically computed the
 correctness of millions of updated aggregated tables"; this package is
-that machinery, grown into five layers:
+that machinery, grown into six layers. Two check live state at run
+time:
 
 - :mod:`repro.verify.invariants` — a structural auditor that walks the
   OT/AT union trie once and checks the bookkeeping invariants the
@@ -14,30 +15,38 @@ that machinery, grown into five layers:
   :class:`~repro.verify.audit.AuditConfig` plugs the auditor into
   :class:`~repro.core.manager.SmaltaManager` (off / every-N-updates /
   every-snapshot), raising :class:`~repro.verify.audit.AuditError` or
-  logging on violation;
-- :mod:`repro.verify.lint` — a repo-specific AST lint pass
-  (``python -m repro.verify.lint src/``) enforcing the structural rules
+  logging on violation.
+
+Four check the source, as one analyzer with one rule registry
+(:mod:`repro.verify.engine`, REPRO001–REPRO023) and one command line,
+``python -m repro.verify``:
+
+- :mod:`repro.verify.lint` — per-file AST rules REPRO001–REPRO006
   that keep the hot paths safe to refactor (``__slots__`` on node
   classes, no trie-bookkeeping writes outside ``core/``, no wall-clock
   reads in algorithm code, no recursion in trie walkers, annotations on
-  public ``core/`` functions, no truthiness tests on ``__len__``-bearing
+  public functions, no truthiness tests on ``__len__``-bearing
   objects);
-- :mod:`repro.verify.flow` — the whole-program flow analyzer
-  (``python -m repro.verify.flow src/repro examples``): a repo-wide
-  call graph plus per-function CFG dataflow, running interprocedural
-  rules REPRO007–REPRO012 (recursion cycles, dropped ``@must_consume``
-  deltas, mutation during live traversals, typestate protocols,
-  swallowed failures, metric-catalog drift). REPRO004 in the lint layer
-  is its single-function fast-path alias;
-- :mod:`repro.verify.effects` — the concurrency-readiness analyzer
-  (``python -m repro.verify.effects src/repro examples``): bottom-up
-  interprocedural effect/purity inference over the same call graph,
-  running rules REPRO013–REPRO017 (blocking-in-async, determinism-seam
-  bypass, shard-escape, un-picklable captures, impure snapshot paths).
+- :mod:`repro.verify.flow` — a repo-wide call graph plus per-function
+  CFG dataflow, running interprocedural rules REPRO007–REPRO012
+  (recursion cycles, dropped ``@must_consume`` deltas, mutation during
+  live traversals, typestate protocols, swallowed failures,
+  metric-catalog drift). REPRO004 is the single-function fast-path
+  alias of REPRO007;
+- :mod:`repro.verify.effects` — bottom-up interprocedural effect/purity
+  inference over the same call graph, running rules REPRO013–REPRO017
+  (blocking-in-async, determinism-seam bypass, shard-escape,
+  un-picklable captures, impure snapshot paths);
+- :mod:`repro.verify.interleave` — await-segment and task-lifecycle
+  models of the daemon's ``async def`` code, running rules
+  REPRO018–REPRO023 (torn invariants, fire-and-forget tasks, unawaited
+  coroutines, blocking while a lock is held, cancellation safety,
+  cross-task aliasing).
 
-The three static layers share a single parse pass and a content-hash
-incremental cache (``.repro-cache/``), and run combined as
-``python -m repro.verify`` with one merged report.
+The four static layers share a single parse pass, one
+:class:`~repro.verify.findings.Finding` type with its inline
+suppressions, and a content-hash incremental cache
+(``.repro-cache/``).
 
 See ``docs/VERIFICATION.md`` for the full invariant and rule catalogue.
 """

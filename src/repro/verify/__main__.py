@@ -1,4 +1,4 @@
-"""``python -m repro.verify`` entry point (the combined run)."""
+"""``python -m repro.verify`` entry point: the one analyzer command."""
 
 import sys
 

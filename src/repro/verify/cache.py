@@ -1,24 +1,26 @@
-"""Content-hash incremental cache shared by lint, flow, and effects.
+"""Content-hash incremental cache shared by every analyzer pass.
 
-Every analysis front end ultimately starts from the same expensive
-inputs: read a file, ``ast.parse`` it, and derive per-file artifacts
-(lint findings, direct effect summaries). :class:`AnalysisCache` keys
-those artifacts by the SHA-256 of the file *content* (salted with a
-cache-format version), so a warm run re-analyzes only files whose bytes
-actually changed — ``git checkout``, ``touch``, and CI cache restores
-cannot invalidate it spuriously, because no timestamps are involved.
+Every rule ultimately starts from the same expensive inputs: read a
+file, ``ast.parse`` it, and derive per-file artifacts (lint findings,
+direct effect summaries, interleave segment models).
+:class:`AnalysisCache` keys those artifacts by the SHA-256 of the file
+*content* (salted with a cache-format version), so a warm run
+re-analyzes only files whose bytes actually changed — ``git checkout``,
+``touch``, and CI cache restores cannot invalidate it spuriously,
+because no timestamps are involved.
 
 Layout on disk::
 
     .repro-cache/
-        ast/<digest>.pkl        pickled ast.Module
-        lint/<digest>.pkl       list[LintError] for one file
-        effects/<digest>.pkl    per-function direct EffectSite tuples
+        ast/<digest>.pkl         pickled ast.Module
+        lint/<digest>.pkl        list[Finding] for one file
+        effects/<digest>.pkl     per-function direct EffectSite tuples
+        interleave/<digest>.pkl  per-function FuncModel for one file
 
 Entries are written atomically (temp file + ``os.replace``) and any
 unreadable or corrupt entry degrades to a cache miss — the cache can be
 deleted or truncated at any time without affecting correctness, only
-warm-run speed. Hit/miss counters live on the instance so CLIs can
+warm-run speed. Hit/miss counters live on the instance so the CLI can
 prove a warm run skipped unchanged files.
 """
 
@@ -32,7 +34,7 @@ from typing import Optional
 
 #: Bump whenever the shape of any cached artifact changes; the version
 #: participates in every content digest, so stale formats simply miss.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Directory name of the cache at the repo root.
 CACHE_DIR_NAME = ".repro-cache"

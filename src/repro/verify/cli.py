@@ -1,22 +1,18 @@
-"""The umbrella front end: ``python -m repro.verify``.
+"""The analyzer's command line: ``python -m repro.verify``.
 
-One invocation runs every static pass — lint (REPRO001-006), flow
-(REPRO007-012), effects (REPRO013-017), interleave (REPRO018-023) —
-over a *single* parse of the repo: the shared
-:func:`repro.verify.config.load_sources` pass feeds every analyzer,
-and the :class:`~repro.verify.cache.AnalysisCache` makes warm reruns
-skip unchanged files entirely.
-
-The per-pass entry points (``python -m repro.verify.lint`` / ``.flow``
-/ ``.effects`` / ``.interleave``) stay available as thin aliases; this
-CLI is what CI and pre-commit run. Exit contract: **0** clean, **1**
-new findings, **2** usage error.
+One invocation runs every rule of the registry
+(:data:`repro.verify.engine.RULES`) over a *single* parse of the repo:
+lint (REPRO001-006), flow (REPRO007-012), effects (REPRO013-017), and
+interleave (REPRO018-023). The content-hash
+:class:`~repro.verify.cache.AnalysisCache` makes warm reruns skip
+unchanged files entirely. Exit contract: **0** clean, **1** findings,
+**2** usage error.
 
 ``--diff BASE`` is the pull-request fast mode: findings are restricted
-to the files changed since ``BASE`` plus every module that (transitively)
-imports one of them — whole-program analysis still sees the full
-project, so cross-file rules stay sound; only the *reporting* scope
-narrows.
+to the files changed since ``BASE`` (untracked files included) plus
+every module that (transitively) imports one of them — whole-program
+analysis still sees the full project, so cross-file rules stay sound;
+only the *reporting* scope narrows.
 """
 
 from __future__ import annotations
@@ -27,78 +23,26 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.verify import lint as lint_mod
-from repro.verify.cache import AnalysisCache
-from repro.verify.config import default_cache, find_repo_root, load_sources
-from repro.verify.effects.cli import BASELINE_NAME as EFFECTS_BASELINE_NAME
-from repro.verify.effects.rules import RULES as EFFECT_RULES
-from repro.verify.effects.rules import analyze_effects
-from repro.verify.flow.callgraph import CallGraph
-from repro.verify.flow.cli import BASELINE_NAME as FLOW_BASELINE_NAME
-from repro.verify.flow.project import Project
-from repro.verify.flow.report import (
-    Finding,
-    load_baseline,
+from repro.verify.config import default_cache, find_repo_root
+from repro.verify.context import RuleContext
+from repro.verify.engine import RULES, run_rules
+from repro.verify.findings import (
     relativize,
     render_json,
     render_sarif,
     render_text,
-    write_baseline,
 )
-from repro.verify.flow.rules import RULES as FLOW_RULES
-from repro.verify.flow.rules import analyze as flow_analyze
-from repro.verify.interleave.cli import BASELINE_NAME as INTERLEAVE_BASELINE_NAME
-from repro.verify.interleave.rules import RULES as INTERLEAVE_RULES
-from repro.verify.interleave.rules import analyze_interleave
+from repro.verify.flow.project import Project
 
 #: Default analysis roots, relative to the repo root.
 DEFAULT_ROOTS = ("src/repro", "examples")
 
-LINT_CODES = frozenset(lint_mod.RULES)
-FLOW_CODES = frozenset(FLOW_RULES)
-EFFECT_CODES = frozenset(EFFECT_RULES)
-INTERLEAVE_CODES = frozenset(INTERLEAVE_RULES)
-ALL_CODES = LINT_CODES | FLOW_CODES | EFFECT_CODES | INTERLEAVE_CODES
 
-
-def rule_index() -> dict[str, str]:
-    """Merged code -> one-line summary across all passes."""
-    merged = dict(lint_mod.RULES)
-    merged.update({code: spec.summary for code, spec in FLOW_RULES.items()})
-    merged.update({code: spec.summary for code, spec in EFFECT_RULES.items()})
-    merged.update(
-        {code: spec.summary for code, spec in INTERLEAVE_RULES.items()}
-    )
-    return merged
-
-
-def _lint_findings(
-    errors: Sequence[lint_mod.LintError],
-    module_names: dict[str, str],
-    root: Optional[Path],
-) -> list[Finding]:
-    """Lift lint diagnostics into the flow layer's Finding model, so the
-    merged report shares one fingerprint/baseline/SARIF pipeline."""
-    findings = []
-    for error in errors:
-        rel = relativize(Path(error.path), root)
-        findings.append(
-            Finding(
-                error.code,
-                rel,
-                error.line,
-                module_names.get(error.path, rel),
-                error.message,
-            )
-        )
-    return findings
-
-
-def _changed_files(root: Path, base: str) -> Optional[set[str]]:
-    """Repo-relative paths changed since ``base`` (None when git fails)."""
+def _git_lines(root: Path, args: list[str]) -> Optional[set[str]]:
+    """Non-empty output lines of ``git <args>`` (None when git fails)."""
     try:
         proc = subprocess.run(
-            ["git", "diff", "--name-only", base, "--", "*.py"],
+            ["git", *args],
             cwd=root,
             capture_output=True,
             text=True,
@@ -110,6 +54,21 @@ def _changed_files(root: Path, base: str) -> Optional[set[str]]:
     if proc.returncode != 0:
         return None
     return {line.strip() for line in proc.stdout.splitlines() if line.strip()}
+
+
+def _changed_files(root: Path, base: str) -> Optional[set[str]]:
+    """Python files under ``root`` changed since ``base`` or not yet
+    tracked, relative to ``root`` like finding paths (None when git
+    fails)."""
+    changed = _git_lines(
+        root, ["diff", "--name-only", "--relative", base, "--", "*.py"]
+    )
+    untracked = _git_lines(
+        root, ["ls-files", "--others", "--exclude-standard", "--", "*.py"]
+    )
+    if changed is None or untracked is None:
+        return None
+    return changed | untracked
 
 
 def diff_scope(
@@ -158,10 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
         description=(
-            "Combined SMALTA static verification: lint (REPRO001-006) + "
-            "flow (REPRO007-012) + effects (REPRO013-017) + interleave "
-            "(REPRO018-023) over a single shared parse pass with an "
-            "incremental content-hash cache."
+            "SMALTA static verification: every rule, REPRO001-023 (lint, "
+            "flow, effects, interleave), over a single shared parse pass "
+            "with an incremental content-hash cache."
         ),
     )
     parser.add_argument(
@@ -182,20 +140,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         default=None,
-        help="comma-separated rule codes from any pass (default: all)",
+        help="comma-separated rule codes (default: all)",
     )
     parser.add_argument(
         "--diff",
         metavar="BASE",
         default=None,
         help="fast mode: only report findings in files changed since the "
-        "given git ref, plus modules that transitively import them",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current flow/effects findings into their baseline "
-        "files and exit 0 (lint has no baseline: fix or # noqa)",
+        "given git ref or untracked, plus modules that transitively "
+        "import them",
     )
     parser.add_argument(
         "--stats",
@@ -219,10 +172,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    index = rule_index()
+    summaries = {code: spec.summary for code, spec in RULES.items()}
     if args.list_rules:
-        for code in sorted(index):
-            print(f"{code}  {index[code]}")
+        for code in sorted(summaries):
+            print(f"{code}  {summaries[code]}")
         return 0
     paths = _resolve_paths(args.paths)
     if len(paths) == 0:
@@ -235,103 +188,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         select = frozenset(
             code.strip() for code in args.select.split(",") if code.strip()
         )
-        unknown = select - ALL_CODES
+        unknown = select - RULES.keys()
         if unknown:
             parser.error(f"unknown rule code(s): {', '.join(sorted(unknown))}")
-    root = find_repo_root(paths[0])
-    cache: Optional[AnalysisCache] = default_cache(paths)
+    cache = default_cache(paths)
+    ctx = RuleContext.load(paths, cache=cache)
+    findings = run_rules(ctx, select)
 
-    # -- one parse pass, one symbol table, shared by every pass ----------
-    sources = load_sources(paths, cache)
-    project = Project.load(paths, sources=sources, cache=cache)
-    graph = CallGraph.build(project)
-    module_names = {str(s.path): s.name for s in sources}
-
-    findings: list[Finding] = []
-    run_lint = select is None or bool(select & LINT_CODES)
-    run_flow = select is None or bool(select & FLOW_CODES)
-    run_effects = select is None or bool(select & EFFECT_CODES)
-    run_interleave = select is None or bool(select & INTERLEAVE_CODES)
-    if run_lint and not args.write_baseline:
-        lint_select = set(select & LINT_CODES) if select is not None else None
-        errors = lint_mod.lint_paths(
-            paths, select=lint_select, sources=sources, cache=cache
-        )
-        findings.extend(_lint_findings(errors, module_names, root))
-    flow_findings: list[Finding] = []
-    effect_findings: list[Finding] = []
-    if run_flow:
-        flow_findings = flow_analyze(
-            paths,
-            select=(select & FLOW_CODES) if select is not None else None,
-            sources=sources,
-            cache=cache,
-            project=project,
-            graph=graph,
-        )
-    if run_effects:
-        effect_findings = analyze_effects(
-            paths,
-            select=(select & EFFECT_CODES) if select is not None else None,
-            sources=sources,
-            cache=cache,
-            project=project,
-            graph=graph,
-        )
-    interleave_findings: list[Finding] = []
-    if run_interleave:
-        interleave_findings = analyze_interleave(
-            paths,
-            select=(select & INTERLEAVE_CODES) if select is not None else None,
-            sources=sources,
-            cache=cache,
-            project=project,
-            graph=graph,
-        )
-
-    if args.write_baseline:
-        base = root or Path.cwd()
-        write_baseline(base / FLOW_BASELINE_NAME, flow_findings)
-        write_baseline(base / EFFECTS_BASELINE_NAME, effect_findings)
-        write_baseline(base / INTERLEAVE_BASELINE_NAME, interleave_findings)
-        print(
-            f"wrote {len(flow_findings)} flow, {len(effect_findings)} "
-            f"effects, and {len(interleave_findings)} interleave "
-            f"fingerprint(s) under {base}"
-        )
-        return 0
-
-    # -- subtract the checked-in baselines (kept empty by policy) --------
-    if root is not None:
-        flow_known = load_baseline(root / FLOW_BASELINE_NAME)
-        effects_known = load_baseline(root / EFFECTS_BASELINE_NAME)
-        interleave_known = load_baseline(root / INTERLEAVE_BASELINE_NAME)
-        flow_findings = [
-            f for f in flow_findings if f.fingerprint() not in flow_known
-        ]
-        effect_findings = [
-            f for f in effect_findings if f.fingerprint() not in effects_known
-        ]
-        interleave_findings = [
-            f
-            for f in interleave_findings
-            if f.fingerprint() not in interleave_known
-        ]
-    findings.extend(flow_findings)
-    findings.extend(effect_findings)
-    findings.extend(interleave_findings)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-
-    if args.diff is not None and root is not None:
-        changed = _changed_files(root, args.diff)
-        if changed is None:
+    if args.diff is not None:
+        root = ctx.root
+        changed = None if root is None else _changed_files(root, args.diff)
+        if root is None or changed is None:
+            reason = "no repo root found" if root is None else "git failed"
             print(
-                f"warning: git diff against {args.diff!r} failed; "
-                "running in full mode",
+                f"warning: --diff {args.diff}: {reason}; running in full mode",
                 file=sys.stderr,
             )
         else:
-            scope = diff_scope(project, root, changed)
+            scope = diff_scope(ctx.project, root, changed)
             findings = [f for f in findings if f.path in scope]
             print(
                 f"diff mode: {len(changed)} changed file(s), "
@@ -344,7 +218,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.format == "json":
         rendered = render_json(findings)
     else:
-        rendered = render_sarif(findings, index)
+        rendered = render_sarif(findings, summaries)
     if args.output is not None:
         args.output.write_text(rendered, encoding="utf-8")
     else:

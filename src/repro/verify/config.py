@@ -1,12 +1,10 @@
-"""Shared file-discovery and package-scope configuration for the
-verification passes.
+"""Shared file discovery and package-scope configuration for the
+analyzer.
 
-Both static-analysis front ends — the per-file AST lint
-(:mod:`repro.verify.lint`) and the whole-program flow engine
-(:mod:`repro.verify.flow`) — walk the same source tree and agree on
-which packages sit inside which enforcement perimeter. This module is
-that single source of truth; keeping it out of ``lint.py`` lets the
-flow engine import it without dragging the lint visitor along.
+Every pass — the per-file lint visitor (:mod:`repro.verify.lint`) and
+the whole-program flow, effects, and interleave engines — walks the
+same source tree and agrees on which packages sit inside which
+enforcement perimeter. This module is that single source of truth.
 """
 
 from __future__ import annotations
@@ -128,12 +126,12 @@ def load_sources(
 ) -> list[SourceFile]:
     """Read and parse every file under ``paths`` exactly once.
 
-    This is the single parse pass the lint, flow, and effects front
-    ends all consume — handing the returned list to each of them means
-    one combined run touches each file's bytes once. With a ``cache``,
-    parsed ASTs are reused across *runs* as well: an unchanged file's
-    tree is unpickled instead of re-parsed, and a changed file misses
-    (content hash) and is parsed fresh.
+    This is the single parse pass every rule consumes (through
+    :class:`repro.verify.context.RuleContext`), so one run touches each
+    file's bytes once. With a ``cache``, parsed ASTs are reused across
+    *runs* as well: an unchanged file's tree is unpickled instead of
+    re-parsed, and a changed file misses (content hash) and is parsed
+    fresh.
     """
     sources: list[SourceFile] = []
     for path in collect_files(paths):

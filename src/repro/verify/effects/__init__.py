@@ -1,11 +1,11 @@
 """Layer 5: effect/purity inference and concurrency-readiness rules.
 
-The roadmap's next tentpoles — the asyncio aggregation daemon and the
-process-pool sharded ORTC — introduce concurrency into a codebase whose
-correctness story assumes single-threaded determinism. This package
-proves, *before* that code lands, which functions are pure, which state
-escapes a shard, and which call paths would block an event loop or
-break the injected-clock / seeded-RNG determinism seams.
+The asyncio aggregation daemon runs many tenants' managers interleaved
+in one process, in a codebase whose correctness story assumes
+single-threaded determinism. This package proves which functions are
+pure, which module state is shared between entry points that may run
+concurrently, and which call paths would block the event loop or break
+the injected-clock / seeded-RNG determinism seams.
 
 It builds on the flow engine (:mod:`repro.verify.flow`): the same
 project symbol table and call graph, extended with a bottom-up
@@ -22,32 +22,24 @@ operation, and module-global write. Five rules consume the summaries
   parameter idiom (REPRO003 in the lint layer is its wall-clock-only
   fast-path alias);
 - **REPRO015** ``shard-escape`` — module-level mutable state written
-  from code reachable by more than one shard entry point
-  (``SmaltaManager`` public methods, ``@shard_entry`` functions);
+  from code reachable by more than one entry point that may run
+  concurrently (``SmaltaManager`` public methods, ``@shard_entry``
+  functions), which would couple the daemon's tenants;
 - **REPRO016** ``unpicklable-capture`` — a lambda or locally-defined
   closure handed to a process-pool seam (``submit``/``apply_async``/
   ``Process(target=...)``);
 - **REPRO017** ``impure-snapshot-path`` — a global write, IO, or
   nondeterminism source reachable from ``snapshot``/``snapshot_now``/
-  ``ortc_from_trie``, which sharded per-process snapshots require to
-  be pure.
+  ``ortc_from_trie``: a snapshot must be a pure function of the trie,
+  so a rerun, a replay, or the ``ortc()`` cross-check sees the same
+  table.
 
-Run it with ``python -m repro.verify.effects src/repro examples`` (same
-text/JSON/SARIF output, ``# repro: allow[RULE]`` suppressions, and
-checked-in ``.effects-baseline.json`` contract as the flow CLI), or as
-part of the combined ``python -m repro.verify`` run. See
-``docs/VERIFICATION.md`` for the effect lattice and the recipe for
-blessing a new determinism seam.
+The rules run through ``python -m repro.verify`` with the other
+layers. See ``docs/VERIFICATION.md`` for the effect lattice and the
+recipe for blessing a new determinism seam.
 """
 
 from repro.verify.effects.infer import EffectIndex, infer_effects
-from repro.verify.effects.rules import RULES, analyze_effects
 from repro.verify.effects.summary import EffectSite
 
-__all__ = [
-    "RULES",
-    "EffectIndex",
-    "EffectSite",
-    "analyze_effects",
-    "infer_effects",
-]
+__all__ = ["EffectIndex", "EffectSite", "infer_effects"]

@@ -5,10 +5,12 @@ function (and module top level), then propagates them over the call
 graph: a function's *summary* is the union of its own sites and its
 resolved callees' summaries. Propagation runs over the strongly
 connected components of the graph in reverse topological order —
-iterative Tarjan emits SCCs callee-first, which is exactly the
-bottom-up order a summary-based analysis needs — and every member of a
-cycle shares the whole cycle's effects (a recursive helper that sleeps
-makes every function in its SCC blocking).
+the call graph's iterative Tarjan
+(:func:`repro.verify.flow.callgraph.tarjan_sccs`) emits SCCs
+callee-first, which is exactly the bottom-up order a summary-based
+analysis needs — and every member of a cycle shares the whole
+cycle's effects (a recursive helper that sleeps makes every function
+in its SCC blocking).
 
 Each summary entry remembers *one* witness call chain to the origin
 site, so rule messages can say not just "snapshot reaches IO" but
@@ -35,7 +37,7 @@ from repro.verify.effects.summary import (
     direct_effects,
     module_bindings,
 )
-from repro.verify.flow.callgraph import CallGraph
+from repro.verify.flow.callgraph import CallGraph, tarjan_sccs
 from repro.verify.flow.project import Project
 
 #: A summary maps ``(kind, detail)`` to one witness: the call chain
@@ -64,61 +66,6 @@ class EffectIndex:
         if len(chain) == 0:
             return "directly"
         return "via " + " -> ".join(chain)
-
-
-def _tarjan_sccs(nodes: list[str], edges: dict[str, set[str]]) -> list[list[str]]:
-    """SCCs of ``(nodes, edges)`` in reverse topological order.
-
-    Iterative (the analyzer obeys the repo's own no-recursion rules);
-    emission order means every SCC appears after all SCCs it calls
-    into, i.e. callees first — the bottom-up propagation order.
-    """
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    scc_stack: list[str] = []
-    counter = 0
-    components: list[list[str]] = []
-    succs = {node: sorted(edges.get(node, ())) for node in nodes}
-    for root in sorted(nodes):
-        if root in index:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                scc_stack.append(node)
-                on_stack.add(node)
-            descended = False
-            children = succs.get(node, [])
-            while child_index < len(children):
-                child = children[child_index]
-                child_index += 1
-                if child not in index:
-                    work[-1] = (node, child_index)
-                    work.append((child, 0))
-                    descended = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component: list[str] = []
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(component))
-    return components
 
 
 def infer_effects(
@@ -183,7 +130,7 @@ def infer_effects(
         name: {c for c in graph.edges.get(name, set()) if c in project.functions}
         for name in nodes
     }
-    for component in _tarjan_sccs(nodes, edges):
+    for component in tarjan_sccs(nodes, edges):
         members = set(component)
         # Seed every member with its own direct sites...
         for member in component:

@@ -1,38 +1,27 @@
 """The concurrency-readiness rule set, REPRO013 through REPRO017.
 
 Same contract as the flow rules (:mod:`repro.verify.flow.rules`): each
-rule is a plain function from :class:`EffectContext` to findings, and
-on ambiguity it stays silent. Findings reuse the flow layer's
-:class:`~repro.verify.flow.report.Finding` (and with it the SARIF/
-baseline/fingerprint machinery).
+rule is a plain function from :class:`~repro.verify.context.RuleContext`
+to findings, reading the effect summaries from ``ctx.effects``, and on
+ambiguity it stays silent. :data:`SPECS` joins the registry in
+:mod:`repro.verify.engine`.
 
-How to add a rule: write ``def _rule_<thing>(ctx: EffectContext) ->
-list[Finding]``, give it a ``REPRO0xx`` code in :data:`RULES`, add
-positive/negative/suppressed fixtures under
-``tests/verify/effects_fixtures`` and a catalog entry in
-``docs/VERIFICATION.md``.
+How to add a rule: see "Adding a rule" in ``docs/VERIFICATION.md``.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
-from repro.verify.cache import AnalysisCache
-from repro.verify.config import (
-    SourceFile,
-    find_repo_root,
-    load_sources,
-    package_parts,
-)
-from repro.verify.effects.infer import EffectIndex, infer_effects, is_async
+from repro.verify.config import package_parts
+from repro.verify.context import RuleContext, RuleSpec
+from repro.verify.effects.infer import is_async
 from repro.verify.effects.summary import EffectSite
-from repro.verify.flow.callgraph import CallGraph, walk_scope
-from repro.verify.flow.project import FunctionInfo, Project, annotation_name
-from repro.verify.flow.report import Finding, relativize
-from repro.verify.flow.suppress import is_suppressed
+from repro.verify.findings import Finding
+from repro.verify.flow.callgraph import walk_scope
+from repro.verify.flow.project import FunctionInfo, annotation_name
 
 #: Packages (under ``repro/``) that *are* the determinism seams — raw
 #: clock/RNG use inside them is the implementation of the seam itself.
@@ -57,19 +46,6 @@ EXECUTOR_SUBMIT_ATTRS = frozenset(
 IMPURE_KINDS = ("global-write", "io", "rng", "clock")
 
 
-@dataclass
-class EffectContext:
-    """Everything an effect rule may consult."""
-
-    project: Project
-    graph: CallGraph
-    index: EffectIndex
-    root: Optional[Path]
-
-    def rel(self, path: Path) -> str:
-        return relativize(path, self.root)
-
-
 def _in_blessed_seam(path: Path) -> bool:
     parts = package_parts(path)
     return bool(parts) and parts[0] in BLESSED_SEAM_PACKAGES
@@ -78,17 +54,17 @@ def _in_blessed_seam(path: Path) -> bool:
 # -- REPRO013: blocking call reachable from async -----------------------
 
 
-def _rule_blocking_in_async(ctx: EffectContext) -> list[Finding]:
+def _rule_blocking_in_async(ctx: RuleContext) -> list[Finding]:
     findings: list[Finding] = []
     for qualname in sorted(ctx.project.functions):
         if not is_async(ctx.project, qualname):
             continue
         func = ctx.project.functions[qualname]
-        summary = ctx.index.summaries.get(qualname, {})
+        summary = ctx.effects.summaries.get(qualname, {})
         for (kind, detail), (chain, site) in sorted(summary.items()):
             if kind != "blocking":
                 continue
-            route = ctx.index.chain_text(qualname, chain)
+            route = ctx.effects.chain_text(qualname, chain)
             anchor = func.lineno if len(chain) > 0 else site.lineno
             findings.append(
                 Finding(
@@ -120,17 +96,17 @@ _SEAM_HINTS = {
 }
 
 
-def _rule_seam_bypass(ctx: EffectContext) -> list[Finding]:
+def _rule_seam_bypass(ctx: RuleContext) -> list[Finding]:
     findings: list[Finding] = []
     scopes: list[tuple[str, Path, tuple[EffectSite, ...]]] = []
-    for name in sorted(ctx.index.module_direct):
+    for name in sorted(ctx.effects.module_direct):
         module = ctx.project.modules[name]
-        scopes.append((name, module.path, ctx.index.module_direct[name]))
-    for qualname in sorted(ctx.index.direct):
+        scopes.append((name, module.path, ctx.effects.module_direct[name]))
+    for qualname in sorted(ctx.effects.direct):
         func = ctx.project.functions.get(qualname)
         if func is None:
             continue
-        scopes.append((qualname, func.path, ctx.index.direct[qualname]))
+        scopes.append((qualname, func.path, ctx.effects.direct[qualname]))
     for symbol, path, sites in scopes:
         if _in_blessed_seam(path):
             continue
@@ -157,7 +133,7 @@ def _rule_seam_bypass(ctx: EffectContext) -> list[Finding]:
 # -- REPRO015: shard-escaping module state ------------------------------
 
 
-def _shard_entry_points(ctx: EffectContext) -> list[FunctionInfo]:
+def _shard_entry_points(ctx: RuleContext) -> list[FunctionInfo]:
     entries: list[FunctionInfo] = []
     for cls_qual in sorted(ctx.project.classes):
         info = ctx.project.classes[cls_qual]
@@ -173,12 +149,12 @@ def _shard_entry_points(ctx: EffectContext) -> list[FunctionInfo]:
     return entries
 
 
-def _rule_shard_escape(ctx: EffectContext) -> list[Finding]:
+def _rule_shard_escape(ctx: RuleContext) -> list[Finding]:
     entries = _shard_entry_points(ctx)
     #: global qualname -> entry qualname -> (chain, site)
     writers: dict[str, dict[str, tuple[tuple[str, ...], EffectSite]]] = {}
     for entry in entries:
-        summary = ctx.index.summaries.get(entry.qualname, {})
+        summary = ctx.effects.summaries.get(entry.qualname, {})
         for (kind, detail), witness in summary.items():
             if kind == "global-write":
                 writers.setdefault(detail, {})[entry.qualname] = witness
@@ -188,12 +164,12 @@ def _rule_shard_escape(ctx: EffectContext) -> list[Finding]:
         if len(by_entry) < 2:
             continue  # single-entry state still belongs to one shard
         module_name, bare = detail.rsplit(".", 1)
-        binding = ctx.index.bindings.get(module_name, {}).get(bare)
+        binding = ctx.effects.bindings.get(module_name, {}).get(bare)
         module = ctx.project.modules.get(module_name)
         if binding is None or module is None:
             continue
         sample = ", ".join(
-            f"{entry} ({ctx.index.chain_text(entry, chain)})"
+            f"{entry} ({ctx.effects.chain_text(entry, chain)})"
             for entry, (chain, _site) in sorted(by_entry.items())[:3]
         )
         findings.append(
@@ -252,7 +228,7 @@ def _submitted_callable(call: ast.Call) -> Optional[ast.expr]:
     return None
 
 
-def _rule_unpicklable_capture(ctx: EffectContext) -> list[Finding]:
+def _rule_unpicklable_capture(ctx: RuleContext) -> list[Finding]:
     findings: list[Finding] = []
     for qualname in sorted(ctx.project.functions):
         func = ctx.project.functions[qualname]
@@ -308,7 +284,7 @@ def _rule_unpicklable_capture(ctx: EffectContext) -> list[Finding]:
 # -- REPRO017: impurity reachable from the snapshot path ----------------
 
 
-def _snapshot_roots(ctx: EffectContext) -> list[FunctionInfo]:
+def _snapshot_roots(ctx: RuleContext) -> list[FunctionInfo]:
     roots: list[FunctionInfo] = []
     for qualname in sorted(ctx.project.functions):
         func = ctx.project.functions[qualname]
@@ -324,14 +300,14 @@ def _snapshot_roots(ctx: EffectContext) -> list[FunctionInfo]:
     return roots
 
 
-def _rule_impure_snapshot(ctx: EffectContext) -> list[Finding]:
+def _rule_impure_snapshot(ctx: RuleContext) -> list[Finding]:
     findings: list[Finding] = []
     for root_func in _snapshot_roots(ctx):
-        summary = ctx.index.summaries.get(root_func.qualname, {})
+        summary = ctx.effects.summaries.get(root_func.qualname, {})
         for (kind, detail), (chain, site) in sorted(summary.items()):
             if kind not in IMPURE_KINDS:
                 continue
-            route = ctx.index.chain_text(root_func.qualname, chain)
+            route = ctx.effects.chain_text(root_func.qualname, chain)
             anchor = root_func.lineno if len(chain) > 0 else site.lineno
             findings.append(
                 Finding(
@@ -351,25 +327,15 @@ def _rule_impure_snapshot(ctx: EffectContext) -> list[Finding]:
 # -- registry ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RuleSpec:
-    """One rule's identity and entry point."""
-
-    code: str
-    name: str
-    summary: str
-    run: Callable[[EffectContext], list[Finding]]
-
-
-RULES: dict[str, RuleSpec] = {
-    "REPRO013": RuleSpec(
+SPECS: tuple[RuleSpec, ...] = (
+    RuleSpec(
         "REPRO013",
         "blocking-in-async",
         "blocking call (sleep/file IO/subprocess) reachable from an "
         "async def; it would stall the event loop",
         _rule_blocking_in_async,
     ),
-    "REPRO014": RuleSpec(
+    RuleSpec(
         "REPRO014",
         "seam-bypass",
         "raw clock read or unseeded RNG outside the repro.faults seams "
@@ -377,72 +343,24 @@ RULES: dict[str, RuleSpec] = {
         "wall-clock-only fast-path alias)",
         _rule_seam_bypass,
     ),
-    "REPRO015": RuleSpec(
+    RuleSpec(
         "REPRO015",
         "shard-escape",
         "module-level mutable state written from more than one shard "
         "entry point",
         _rule_shard_escape,
     ),
-    "REPRO016": RuleSpec(
+    RuleSpec(
         "REPRO016",
         "unpicklable-capture",
         "lambda or local closure handed to a pickling executor seam",
         _rule_unpicklable_capture,
     ),
-    "REPRO017": RuleSpec(
+    RuleSpec(
         "REPRO017",
         "impure-snapshot-path",
         "global write, IO, or nondeterminism reachable from the "
         "snapshot path, which sharding requires to be pure",
         _rule_impure_snapshot,
     ),
-}
-
-
-def analyze_effects(
-    paths: Sequence[Path],
-    select: Optional[frozenset[str]] = None,
-    sources: Optional[Sequence[SourceFile]] = None,
-    cache: Optional[AnalysisCache] = None,
-    project: Optional[Project] = None,
-    graph: Optional[CallGraph] = None,
-) -> list[Finding]:
-    """Run the (selected) effect rules over ``paths``.
-
-    Inline ``# repro: allow[...]`` suppressions are subtracted here;
-    baseline subtraction is the CLI's job. A combined run can hand in
-    the already-built ``sources``/``project``/``graph`` so nothing is
-    parsed or resolved twice.
-    """
-    if sources is None and project is None:
-        sources = load_sources(paths, cache)
-    if project is None:
-        project = Project.load(paths, sources=sources, cache=cache)
-    if graph is None:
-        graph = CallGraph.build(project)
-    digests = (
-        {source.name: source.digest for source in sources}
-        if sources is not None
-        else None
-    )
-    index = infer_effects(project, graph, cache=cache, source_digests=digests)
-    root = find_repo_root(paths[0]) if len(paths) > 0 else None
-    ctx = EffectContext(project, graph, index, root)
-    findings: list[Finding] = []
-    for code in sorted(RULES):
-        if select is not None and code not in select:
-            continue
-        findings.extend(RULES[code].run(ctx))
-    by_path: dict[str, list[str]] = {
-        relativize(module.path, root): module.source_lines
-        for module in project.modules.values()
-    }
-    kept = [
-        finding
-        for finding in findings
-        if finding.path not in by_path
-        or not is_suppressed(by_path[finding.path], finding.line, finding.rule)
-    ]
-    kept.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    return kept
+)

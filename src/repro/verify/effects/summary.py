@@ -38,7 +38,7 @@ import ast
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.verify.flow.callgraph import walk_scope
+from repro.verify.flow.callgraph import MUTATING_METHODS, walk_scope
 from repro.verify.flow.project import ModuleInfo
 
 #: Effect kinds, in severity/report order.
@@ -95,27 +95,6 @@ BUILTIN_CALLS: dict[str, tuple[str, ...]] = {
     "input": ("blocking",),
     "print": ("io",),
 }
-
-#: Method names whose *call* mutates the receiver container in place.
-MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "appendleft",
-        "extend",
-        "extendleft",
-        "insert",
-        "add",
-        "update",
-        "remove",
-        "discard",
-        "pop",
-        "popleft",
-        "popitem",
-        "clear",
-        "setdefault",
-        "sort",
-    }
-)
 
 #: Constructor names whose result is a mutable container.
 MUTABLE_FACTORIES = frozenset(

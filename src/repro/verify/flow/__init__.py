@@ -1,13 +1,14 @@
 """Whole-program semantic analysis for the SMALTA repo.
 
-Where :mod:`repro.verify.lint` checks one file at a time, this package
-parses the *entire* ``src/repro`` tree into a shared model —
-module/import resolution (:mod:`~repro.verify.flow.project`), a
-repo-wide call graph with heuristic method resolution
-(:mod:`~repro.verify.flow.callgraph`), per-function control-flow
-graphs (:mod:`~repro.verify.flow.cfg`) and an intraprocedural dataflow
-framework (:mod:`~repro.verify.flow.dataflow`) — and runs six
-interprocedural rules on top (:mod:`~repro.verify.flow.rules`):
+Where the lint rules (:mod:`repro.verify.lint`) check one file at a
+time, this package parses the *entire* ``src/repro`` tree into a shared
+model — module/import resolution (:mod:`~repro.verify.flow.project`),
+a repo-wide call graph with heuristic method resolution and the one
+iterative Tarjan SCC (:mod:`~repro.verify.flow.callgraph`),
+per-function control-flow graphs (:mod:`~repro.verify.flow.cfg`) and an
+intraprocedural dataflow framework (:mod:`~repro.verify.flow.dataflow`)
+— and runs six interprocedural rules on top
+(:mod:`~repro.verify.flow.rules`):
 
 - **REPRO007** call-graph recursion cycles (supersedes the lint pass's
   self-recursion-only REPRO004, which remains as its fast-path alias);
@@ -22,16 +23,10 @@ interprocedural rules on top (:mod:`~repro.verify.flow.rules`):
   metric);
 - **REPRO012** metric-name drift between ``registry.counter/...``
   literals and the catalog tables in ``docs/OBSERVABILITY.md`` /
-  ``docs/RESILIENCE.md`` — both directions.
+  ``docs/RESILIENCE.md`` / ``docs/DAEMON.md`` — both directions.
 
-Run it with ``python -m repro.verify.flow src/repro`` (text, JSON, or
-SARIF output; ``# repro: allow[RULE]`` inline suppressions; a
-checked-in ``.flow-baseline.json`` for tolerated legacy findings).
-See ``docs/VERIFICATION.md`` for the rule catalog and the recipe for
+The effects and interleave layers build on the same project and call
+graph. All of them run through ``python -m repro.verify``; see
+``docs/VERIFICATION.md`` for the rule catalog and the recipe for
 adding a rule.
 """
-
-from repro.verify.flow.report import Finding
-from repro.verify.flow.rules import RULES, RuleContext, RuleSpec, analyze
-
-__all__ = ["RULES", "Finding", "RuleContext", "RuleSpec", "analyze"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.verify.flow.project import (
     FunctionInfo,
@@ -260,63 +260,84 @@ class CallGraph:
     def cycles(self) -> list[list[str]]:
         """Strongly connected components with >1 node, plus self-loops.
 
-        Iterative Tarjan; each component is returned sorted, and the
-        component list is sorted by its first member for stable output.
+        Each component is returned sorted, and the component list is
+        sorted by its first member for stable output.
         """
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        scc_stack: list[str] = []
-        counter = 0
-        components: list[list[str]] = []
-        nodes = sorted(self.edges)
-        succs = {node: sorted(self.edges.get(node, ())) for node in nodes}
-        for root in nodes:
-            if root in index:
-                continue
-            work: list[tuple[str, int]] = [(root, 0)]
-            while work:
-                node, child_index = work[-1]
-                if child_index == 0:
-                    index[node] = low[node] = counter
-                    counter += 1
-                    scc_stack.append(node)
-                    on_stack.add(node)
-                descended = False
-                children = succs.get(node, [])
-                while child_index < len(children):
-                    child = children[child_index]
-                    child_index += 1
-                    if child not in index:
-                        work[-1] = (node, child_index)
-                        work.append((child, 0))
-                        descended = True
-                        break
-                    if child in on_stack:
-                        low[node] = min(low[node], index[child])
-                if descended:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    component: list[str] = []
-                    while True:
-                        member = scc_stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    if len(component) > 1 or node in self.edges.get(node, set()):
-                        components.append(sorted(component))
+        components = [
+            component
+            for component in tarjan_sccs(self.edges, self.edges)
+            if len(component) > 1
+            or component[0] in self.edges.get(component[0], set())
+        ]
         components.sort(key=lambda comp: comp[0])
         return components
 
 
-#: Methods whose *call* mutates the receiver in place — a write to
-#: ``self.attr`` that never appears as an assignment statement.
-_MUTATING_CONTAINER_METHODS = frozenset(
+def tarjan_sccs(
+    nodes: Iterable[str], edges: Mapping[str, Iterable[str]]
+) -> list[list[str]]:
+    """SCCs of ``(nodes, edges)`` in reverse topological order.
+
+    Iterative Tarjan (the analyzer obeys the repo's own no-recursion
+    rules); roots and successors are visited in sorted order, and each
+    component is returned sorted. Emission order means every SCC
+    appears after all SCCs it calls into, i.e. callees first — the
+    bottom-up order a summary-based analysis needs.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    scc_stack: list[str] = []
+    counter = 0
+    components: list[list[str]] = []
+    roots = sorted(nodes)
+    succs = {node: sorted(edges.get(node, ())) for node in roots}
+    for root in roots:
+        if root in index:
+            continue
+        work: list[tuple[str, int]] = [(root, 0)]
+        while work:
+            node, child_index = work[-1]
+            if child_index == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                scc_stack.append(node)
+                on_stack.add(node)
+            descended = False
+            children = succs.get(node, [])
+            while child_index < len(children):
+                child = children[child_index]
+                child_index += 1
+                if child not in index:
+                    work[-1] = (node, child_index)
+                    work.append((child, 0))
+                    descended = True
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            if descended:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                component: list[str] = []
+                while True:
+                    member = scc_stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                components.append(sorted(component))
+    return components
+
+
+#: Methods whose *call* mutates the receiver container in place — a
+#: write that never appears as an assignment statement. Shared by the
+#: self-mutator summary here, the effect extractor, and the interleave
+#: models.
+MUTATING_METHODS = frozenset(
     {
         "append",
         "appendleft",
@@ -350,7 +371,7 @@ def _writes_self_attr(body: Sequence[ast.stmt]) -> bool:
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATING_CONTAINER_METHODS
+            and node.func.attr in MUTATING_METHODS
             and isinstance(node.func.value, (ast.Attribute, ast.Subscript))
         ):
             base: ast.expr = node.func.value

@@ -157,9 +157,9 @@ class Project:
         """Build the symbol table from every file under ``paths``.
 
         ``sources`` (from :func:`repro.verify.config.load_sources`)
-        lets a combined run share one parse pass across lint, flow, and
-        effects; otherwise the files are loaded here, optionally through
-        the content-hash ``cache``.
+        lets a run share one parse pass across every rule; otherwise
+        the files are loaded here, optionally through the content-hash
+        ``cache``.
         """
         project = cls()
         if sources is None:

@@ -1,16 +1,14 @@
 """The interprocedural rule set, REPRO007 through REPRO012.
 
-Each rule is a plain function from :class:`RuleContext` to findings;
-the registry at the bottom is what the CLI iterates. All rules share
-one design pressure: on *ambiguity they stay silent*. Unresolvable
-calls, untyped receivers, and unknown protocols produce no findings —
-a whole-program checker that cries wolf gets suppressed wholesale,
-which is worse than one that under-reports.
+Each rule is a plain function from
+:class:`~repro.verify.context.RuleContext` to findings; :data:`SPECS`
+at the bottom joins the registry in :mod:`repro.verify.engine`. All
+rules share one design pressure: on *ambiguity they stay silent*.
+Unresolvable calls, untyped receivers, and unknown protocols produce
+no findings — a whole-program checker that cries wolf gets suppressed
+wholesale, which is worse than one that under-reports.
 
-How to add a rule: write ``def _rule_<thing>(ctx: RuleContext) ->
-list[Finding]``, give it a ``REPRO0xx`` code in :data:`RULES`, add a
-positive + suppressed fixture pair under ``tests/verify/flow_fixtures``
-and a catalog entry in ``docs/VERIFICATION.md``.
+How to add a rule: see "Adding a rule" in ``docs/VERIFICATION.md``.
 """
 
 from __future__ import annotations
@@ -19,16 +17,11 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from repro.verify.cache import AnalysisCache
-from repro.verify.config import SourceFile, default_metrics_docs, find_repo_root
-from repro.verify.flow.callgraph import (
-    CallGraph,
-    build_type_env,
-    resolve_call,
-    walk_scope,
-)
+from repro.verify.context import RuleContext, RuleSpec
+from repro.verify.findings import Finding
+from repro.verify.flow.callgraph import build_type_env, resolve_call, walk_scope
 from repro.verify.flow.cfg import CFG, build_cfg
 from repro.verify.flow.dataflow import (
     forward_fixpoint,
@@ -37,22 +30,6 @@ from repro.verify.flow.dataflow import (
     liveness,
 )
 from repro.verify.flow.project import ModuleInfo, Project, annotation_name
-from repro.verify.flow.report import Finding, relativize
-from repro.verify.flow.suppress import is_suppressed
-
-
-@dataclass
-class RuleContext:
-    """Everything a rule may consult, built once per CLI invocation."""
-
-    project: Project
-    graph: CallGraph
-    root: Optional[Path]
-    metrics_docs: list[Path]
-    explicit_docs: bool
-
-    def rel(self, path: Path) -> str:
-        return relativize(path, self.root)
 
 
 @dataclass
@@ -676,97 +653,42 @@ def _rule_metric_drift(ctx: RuleContext) -> list[Finding]:
 # -- registry ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RuleSpec:
-    """One rule's identity and entry point."""
-
-    code: str
-    name: str
-    summary: str
-    run: Callable[[RuleContext], list[Finding]]
-
-
-RULES: dict[str, RuleSpec] = {
-    "REPRO007": RuleSpec(
+SPECS: tuple[RuleSpec, ...] = (
+    RuleSpec(
         "REPRO007",
         "recursion-cycle",
         "call-graph recursion cycle (REPRO004 is its single-function "
         "fast-path alias); convert to an explicit worklist",
         _rule_recursion,
     ),
-    "REPRO008": RuleSpec(
+    RuleSpec(
         "REPRO008",
         "dropped-delta",
         "@must_consume return value discarded or bound but never read",
         _rule_dropped_delta,
     ),
-    "REPRO009": RuleSpec(
+    RuleSpec(
         "REPRO009",
         "mutating-traversal",
         "structure mutated while a lazy traversal of it is live",
         _rule_mutating_traversal,
     ),
-    "REPRO010": RuleSpec(
+    RuleSpec(
         "REPRO010",
         "typestate-protocol",
         "method call violates the receiver's lifecycle protocol",
         _rule_typestate,
     ),
-    "REPRO011": RuleSpec(
+    RuleSpec(
         "REPRO011",
         "swallowed-failure",
         "watched exception handled without re-raise, log, or metric",
         _rule_swallowed_failure,
     ),
-    "REPRO012": RuleSpec(
+    RuleSpec(
         "REPRO012",
         "metric-drift",
         "metric series and catalog docs disagree (either direction)",
         _rule_metric_drift,
     ),
-}
-
-
-def analyze(
-    paths: Sequence[Path],
-    select: Optional[frozenset[str]] = None,
-    metrics_docs: Optional[Sequence[Path]] = None,
-    sources: Optional[Sequence[SourceFile]] = None,
-    cache: Optional[AnalysisCache] = None,
-    project: Optional[Project] = None,
-    graph: Optional[CallGraph] = None,
-) -> list[Finding]:
-    """Run the (selected) rules over ``paths`` and return raw findings.
-
-    Inline ``# repro: allow[...]`` suppressions are already subtracted;
-    baseline subtraction is the CLI's job. ``sources``/``cache`` plug
-    the shared parse pass and the content-hash cache in (see
-    :mod:`repro.verify.config` and :mod:`repro.verify.cache`); a
-    combined run may additionally hand in the resolved ``project`` and
-    ``graph`` so symbol resolution happens once across all passes.
-    """
-    if project is None:
-        project = Project.load(paths, sources=sources, cache=cache)
-    if graph is None:
-        graph = CallGraph.build(project)
-    explicit = metrics_docs is not None
-    docs = list(metrics_docs) if metrics_docs is not None else default_metrics_docs(paths)
-    root = find_repo_root(paths[0]) if len(paths) > 0 else None
-    ctx = RuleContext(project, graph, root, docs, explicit)
-    findings: list[Finding] = []
-    for code in sorted(RULES):
-        if select is not None and code not in select:
-            continue
-        findings.extend(RULES[code].run(ctx))
-    sources: dict[str, list[str]] = {
-        ctx.rel(module.path): module.source_lines
-        for module in project.modules.values()
-    }
-    kept = [
-        finding
-        for finding in findings
-        if finding.path not in sources
-        or not is_suppressed(sources[finding.path], finding.line, finding.rule)
-    ]
-    kept.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    return kept
+)

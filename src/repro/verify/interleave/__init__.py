@@ -31,23 +31,12 @@ handle, who observes the exception). Six rules consume the model
   self._consume())``) also writes, instead of routing through the
   tenant queue.
 
-Run it with ``python -m repro.verify.interleave src/repro examples``
-(same text/JSON/SARIF output, ``# repro: allow[RULE]`` suppressions,
-and checked-in ``.interleave-baseline.json`` contract as the other
-layers), or as part of the combined ``python -m repro.verify`` run.
-See ``docs/VERIFICATION.md`` for the preemption-point model and the
-recipe for blessing a deliberate fire-and-forget task.
+The rules run through ``python -m repro.verify`` with the other
+layers. See ``docs/VERIFICATION.md`` for the preemption-point model
+and the recipe for blessing a deliberate fire-and-forget task.
 """
 
 from repro.verify.interleave.model import FuncModel, build_models
-from repro.verify.interleave.rules import RULES, analyze_interleave
 from repro.verify.interleave.tasks import SpawnSite, extract_spawns
 
-__all__ = [
-    "RULES",
-    "FuncModel",
-    "SpawnSite",
-    "analyze_interleave",
-    "build_models",
-    "extract_spawns",
-]
+__all__ = ["FuncModel", "SpawnSite", "build_models", "extract_spawns"]

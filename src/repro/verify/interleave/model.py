@@ -44,11 +44,10 @@ from repro.verify.effects.summary import (
     BLOCKING_CALLS,
     BUILTIN_CALLS,
     FILE_IO_ATTRS,
-    MUTATING_METHODS,
 )
+from repro.verify.flow.callgraph import MUTATING_METHODS
 from repro.verify.flow.project import (
     FunctionInfo,
-    ModuleInfo,
     Project,
     annotation_name,
 )

@@ -1,59 +1,42 @@
 """The six interleave rules (REPRO018-023) over the segment model.
 
 Each rule consumes the per-function :class:`FuncModel` built by
-:mod:`repro.verify.interleave.model` — plus, where cross-file facts are
-needed (coroutine resolution, class method tables), the shared
-:class:`Project` and :class:`CallGraph`. Finding messages never embed
-line numbers (fingerprints hash the message); positions inside a
+:mod:`repro.verify.interleave.model` (``ctx.models`` of the shared
+:class:`~repro.verify.context.RuleContext`) — plus, where cross-file
+facts are needed (coroutine resolution, class method tables), the
+shared :class:`Project` and :class:`CallGraph`. Finding messages never
+embed line numbers (fingerprints hash the message); positions inside a
 function are phrased as await-*segment* numbers, which survive edits
-elsewhere in the file.
+elsewhere in the file. :data:`SPECS` joins the registry in
+:mod:`repro.verify.engine`.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Optional, Sequence
 
-from repro.verify.cache import AnalysisCache
-from repro.verify.config import SourceFile, find_repo_root, load_sources
-from repro.verify.flow.callgraph import CallGraph, resolve_call
-from repro.verify.flow.project import FunctionInfo, Project
-from repro.verify.flow.report import Finding, relativize
-from repro.verify.flow.suppress import is_suppressed
-from repro.verify.interleave.model import FuncModel, build_models
+from repro.verify.context import RuleContext, RuleSpec
+from repro.verify.findings import Finding
+from repro.verify.flow.callgraph import resolve_call
+from repro.verify.flow.project import FunctionInfo
+from repro.verify.interleave.model import FuncModel
 from repro.verify.interleave.tasks import describe_binding, unsunk_spawns
 
 
-@dataclass
-class InterleaveContext:
-    """Everything a rule needs to run."""
-
-    project: Project
-    graph: CallGraph
-    models: dict[str, FuncModel]
-    root: Optional[Path]
-
-    def rel(self, path: Path) -> str:
-        return relativize(path, self.root)
-
-    def function(self, qualname: str) -> Optional[FunctionInfo]:
-        return self.project.functions.get(qualname)
-
-    def async_models(self) -> list[tuple[FunctionInfo, FuncModel]]:
-        pairs: list[tuple[FunctionInfo, FuncModel]] = []
-        for qualname in sorted(self.models):
-            func = self.function(qualname)
-            if func is not None and self.models[qualname].is_async:
-                pairs.append((func, self.models[qualname]))
-        return pairs
+def _async_models(ctx: RuleContext) -> list[tuple[FunctionInfo, FuncModel]]:
+    """Every async project function with its model, in name order."""
+    pairs: list[tuple[FunctionInfo, FuncModel]] = []
+    for qualname in sorted(ctx.models):
+        func = ctx.project.functions.get(qualname)
+        if func is not None and ctx.models[qualname].is_async:
+            pairs.append((func, ctx.models[qualname]))
+    return pairs
 
 
-def _rule_torn_invariant(ctx: InterleaveContext) -> list[Finding]:
+def _rule_torn_invariant(ctx: RuleContext) -> list[Finding]:
     """REPRO018: a read-then-write of the same attribute spans an await."""
     findings: list[Finding] = []
-    for func, model in ctx.async_models():
+    for func, model in _async_models(ctx):
         seen: set[tuple[str, str]] = set()
         for event in model.events:
             if event.op != "rmw" or (event.receiver, event.attr) in seen:
@@ -143,11 +126,11 @@ def _rule_torn_invariant(ctx: InterleaveContext) -> list[Finding]:
     return findings
 
 
-def _rule_fire_and_forget(ctx: InterleaveContext) -> list[Finding]:
+def _rule_fire_and_forget(ctx: RuleContext) -> list[Finding]:
     """REPRO019: a spawned task nobody awaits, gathers, or observes."""
     findings: list[Finding] = []
     for qualname in sorted(ctx.models):
-        func = ctx.function(qualname)
+        func = ctx.project.functions.get(qualname)
         model = ctx.models[qualname]
         if func is None:
             continue
@@ -174,11 +157,11 @@ def _rule_fire_and_forget(ctx: InterleaveContext) -> list[Finding]:
     return findings
 
 
-def _rule_unawaited_coroutine(ctx: InterleaveContext) -> list[Finding]:
+def _rule_unawaited_coroutine(ctx: RuleContext) -> list[Finding]:
     """REPRO020: calling a known-async function and dropping the result."""
     findings: list[Finding] = []
     for qualname in sorted(ctx.models):
-        func = ctx.function(qualname)
+        func = ctx.project.functions.get(qualname)
         if func is None:
             continue
         module = ctx.project.modules.get(func.module)
@@ -221,10 +204,10 @@ def _rule_unawaited_coroutine(ctx: InterleaveContext) -> list[Finding]:
     return findings
 
 
-def _rule_held_across(ctx: InterleaveContext) -> list[Finding]:
+def _rule_held_across(ctx: RuleContext) -> list[Finding]:
     """REPRO021: blocking/unbounded work inside a critical section."""
     findings: list[Finding] = []
-    for func, model in ctx.async_models():
+    for func, model in _async_models(ctx):
         for site in model.held:
             if site.kind == "blocking":
                 advice = (
@@ -252,10 +235,10 @@ def _rule_held_across(ctx: InterleaveContext) -> list[Finding]:
     return findings
 
 
-def _rule_cancellation(ctx: InterleaveContext) -> list[Finding]:
+def _rule_cancellation(ctx: RuleContext) -> list[Finding]:
     """REPRO022: handlers that swallow CancelledError; leaked acquires."""
     findings: list[Finding] = []
-    for func, model in ctx.async_models():
+    for func, model in _async_models(ctx):
         for site in model.excepts:
             if site.reraises:
                 continue
@@ -300,7 +283,7 @@ def _rule_cancellation(ctx: InterleaveContext) -> list[Finding]:
 
 
 def _consumer_write_set(
-    ctx: InterleaveContext, cls_prefix: str, entry: str
+    ctx: RuleContext, cls_prefix: str, entry: str
 ) -> tuple[frozenset[str], frozenset[str]]:
     """Attrs written by the consumer closure; and the closure itself.
 
@@ -328,14 +311,14 @@ def _consumer_write_set(
     return frozenset(writes), frozenset(closure)
 
 
-def _rule_cross_task_alias(ctx: InterleaveContext) -> list[Finding]:
+def _rule_cross_task_alias(ctx: RuleContext) -> list[Finding]:
     """REPRO023: another task's state written outside the owner task."""
     findings: list[Finding] = []
     # Consumer entries: methods this class spawns as free-running tasks
     # over ``self`` (``create_task(self._consume())``).
     spawned: dict[str, set[str]] = {}
     for qualname, model in ctx.models.items():
-        func = ctx.function(qualname)
+        func = ctx.project.functions.get(qualname)
         if func is None or func.cls is None:
             continue
         prefix = qualname.rsplit(".", 1)[0]
@@ -352,7 +335,7 @@ def _rule_cross_task_alias(ctx: InterleaveContext) -> list[Finding]:
             for qualname in sorted(ctx.models):
                 if not qualname.startswith(prefix + ".") or qualname in closure:
                     continue
-                func = ctx.function(qualname)
+                func = ctx.project.functions.get(qualname)
                 model = ctx.models[qualname]
                 if func is None or not model.is_async:
                     continue
@@ -386,103 +369,41 @@ def _rule_cross_task_alias(ctx: InterleaveContext) -> list[Finding]:
     return findings
 
 
-@dataclass(frozen=True)
-class RuleSpec:
-    """One interleave rule: its code, summary, and entry point."""
-
-    code: str
-    name: str
-    summary: str
-    run: Callable[[InterleaveContext], list[Finding]]
-
-
-RULES: dict[str, RuleSpec] = {
-    spec.code: spec
-    for spec in (
-        RuleSpec(
-            "REPRO018",
-            "torn-invariant",
-            "read-modify-write of shared state spans an await point",
-            _rule_torn_invariant,
-        ),
-        RuleSpec(
-            "REPRO019",
-            "fire-and-forget-task",
-            "spawned task has no retained reference or exception sink",
-            _rule_fire_and_forget,
-        ),
-        RuleSpec(
-            "REPRO020",
-            "unawaited-coroutine",
-            "result of calling an async function is discarded unawaited",
-            _rule_unawaited_coroutine,
-        ),
-        RuleSpec(
-            "REPRO021",
-            "blocking-while-held",
-            "blocking or unbounded operation inside a critical section",
-            _rule_held_across,
-        ),
-        RuleSpec(
-            "REPRO022",
-            "cancellation-unsafe",
-            "CancelledError swallowed or lifecycle guard not released",
-            _rule_cancellation,
-        ),
-        RuleSpec(
-            "REPRO023",
-            "cross-task-aliasing",
-            "state owned by a spawned task is written from another task",
-            _rule_cross_task_alias,
-        ),
-    )
-}
-
-
-def analyze_interleave(
-    paths: Sequence[Path],
-    select: Optional[frozenset[str]] = None,
-    sources: Optional[Sequence[SourceFile]] = None,
-    cache: Optional[AnalysisCache] = None,
-    project: Optional[Project] = None,
-    graph: Optional[CallGraph] = None,
-) -> list[Finding]:
-    """Run the interleave rules over ``paths`` and return findings.
-
-    ``sources``/``project``/``graph`` let the umbrella CLI share one
-    parse pass and call graph across all analyzer layers; when absent
-    they are built here. The per-file segment models go through the
-    content-hash ``cache``; cross-file resolution always runs fresh.
-    """
-    if sources is None and project is None:
-        sources = load_sources(paths, cache)
-    if project is None:
-        project = Project.load(paths, sources=sources, cache=cache)
-    if graph is None:
-        graph = CallGraph.build(project)
-    root = find_repo_root(paths[0]) if len(paths) > 0 else None
-    digests = (
-        {source.name: source.digest for source in sources}
-        if sources is not None
-        else None
-    )
-    models = build_models(project, cache=cache, source_digests=digests)
-    ctx = InterleaveContext(project=project, graph=graph, models=models, root=root)
-    selected = select if select is not None else frozenset(RULES)
-    findings: list[Finding] = []
-    for code in sorted(selected):
-        spec = RULES.get(code)
-        if spec is not None:
-            findings.extend(spec.run(ctx))
-    by_path: dict[str, list[str]] = {
-        relativize(module.path, root): module.source_lines
-        for module in project.modules.values()
-    }
-    kept = [
-        finding
-        for finding in findings
-        if finding.path not in by_path
-        or not is_suppressed(by_path[finding.path], finding.line, finding.rule)
-    ]
-    kept.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    return kept
+SPECS: tuple[RuleSpec, ...] = (
+    RuleSpec(
+        "REPRO018",
+        "torn-invariant",
+        "read-modify-write of shared state spans an await point",
+        _rule_torn_invariant,
+    ),
+    RuleSpec(
+        "REPRO019",
+        "fire-and-forget-task",
+        "spawned task has no retained reference or exception sink",
+        _rule_fire_and_forget,
+    ),
+    RuleSpec(
+        "REPRO020",
+        "unawaited-coroutine",
+        "result of calling an async function is discarded unawaited",
+        _rule_unawaited_coroutine,
+    ),
+    RuleSpec(
+        "REPRO021",
+        "blocking-while-held",
+        "blocking or unbounded operation inside a critical section",
+        _rule_held_across,
+    ),
+    RuleSpec(
+        "REPRO022",
+        "cancellation-unsafe",
+        "CancelledError swallowed or lifecycle guard not released",
+        _rule_cancellation,
+    ),
+    RuleSpec(
+        "REPRO023",
+        "cross-task-aliasing",
+        "state owned by a spawned task is written from another task",
+        _rule_cross_task_alias,
+    ),
+)

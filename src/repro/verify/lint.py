@@ -1,8 +1,7 @@
-"""Repo-specific static checks for the SMALTA codebase.
+"""Repo-specific per-file checks for the SMALTA codebase (REPRO001-006).
 
-``python -m repro.verify.lint src/`` walks the given files or directories
-and enforces the structural rules that keep the hot paths safe to
-refactor aggressively:
+One AST visitor pass per file enforces the structural rules that keep
+the hot paths safe to refactor aggressively:
 
 - **REPRO001** ``missing-slots`` — trie/FIB node classes (name ending in
   ``Node``) must declare ``__slots__``; a stray ``__dict__`` per node
@@ -19,52 +18,36 @@ refactor aggressively:
   trie walkers recursing per bit overflow the interpreter stack at
   width 128 (IPv6); use an explicit stack. This is the *fast-path
   alias* of flow rule **REPRO007**: it catches only direct
-  self-recursion in a single file, while ``python -m repro.verify.flow``
-  builds the repo-wide call graph and also flags mutual recursion
-  (``a -> b -> a`` walkers) this pass provably cannot see.
-- **REPRO005** ``untyped-public`` — public functions and methods in
-  ``repro/core``, ``repro/net``, ``repro/verify``, ``repro/fib`` and
-  ``repro/router`` must annotate every parameter and the return type
-  (the ``mypy --strict`` floor).
+  self-recursion in a single file, while REPRO007 walks the repo-wide
+  call graph and also flags mutual recursion (``a -> b -> a``
+  walkers) this pass provably cannot see.
+- **REPRO005** ``untyped-public`` — public functions and methods in the
+  packages of :data:`repro.verify.config.ANNOTATED_PACKAGES` (``core``,
+  ``net``, ``verify``, ``fib``, ``router``, ``bgp``, ``workloads``,
+  ``obs`` and ``faults``) must annotate every parameter and the return
+  type (the ``mypy --strict`` floor).
 - **REPRO006** ``falsy-len-guard`` — no truthiness tests on parameters
   whose annotated type defines ``__len__`` (e.g. ``DownloadLog``): an
   empty-but-present object is falsy, so ``log or DownloadLog()``
   silently drops a caller-supplied log. Test ``is not None`` or
   ``len(...)`` explicitly.
 
-A finding can be waived with a ``# noqa: REPROnnn`` comment on the
-offending line. Exit status is 0 when clean, 1 when findings remain.
+The rules run through the analyzer's one command line,
+``python -m repro.verify``; this module is the visitor behind them.
+A finding is waived with a ``# noqa: REPROnnn`` comment on the
+offending line (see :mod:`repro.verify.findings`).
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from repro.verify.cache import AnalysisCache, content_key
-from repro.verify.config import (
-    ANNOTATED_PACKAGES,
-    SourceFile,
-    default_cache,
-    load_sources,
-    package_parts,
-)
-
-RULES: dict[str, str] = {
-    "REPRO001": "node class must declare __slots__",
-    "REPRO002": "trie bookkeeping attribute written outside repro/core",
-    "REPRO003": "wall-clock read in library code (inject a clock instead)",
-    "REPRO004": (
-        "self-recursive walker (use an explicit stack); fast-path alias "
-        "of flow rule REPRO007, which also catches mutual recursion"
-    ),
-    "REPRO005": "public function missing parameter or return annotations",
-    "REPRO006": "truthiness test on a __len__-bearing object",
-}
+from repro.verify.config import ANNOTATED_PACKAGES, SourceFile, package_parts
+from repro.verify.findings import Finding, relativize
 
 #: The SmaltaState bookkeeping only repro/core may mutate directly.
 TRIE_ATTRS = frozenset({"d_o", "d_a", "pi", "deaggs"})
@@ -79,19 +62,6 @@ WALL_CLOCK = frozenset(
         ("date", "today"),
     }
 )
-
-@dataclass(frozen=True)
-class LintError:
-    """One finding, formatted like a compiler diagnostic."""
-
-    path: str
-    line: int
-    col: int
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
 def collect_len_classes(trees: Iterable[ast.Module]) -> set[str]:
@@ -143,15 +113,20 @@ def _annotation_class(annotation: Optional[ast.expr]) -> Optional[str]:
 
 
 class _FileLinter(ast.NodeVisitor):
-    """One pass over one module; accumulates findings in ``errors``."""
+    """One pass over one module; accumulates ``findings``.
+
+    Every finding carries the file's repo-relative ``rel`` path and its
+    module name as the symbol.
+    """
 
     def __init__(
-        self, path: Path, tree: ast.Module, len_classes: set[str]
+        self, source: SourceFile, rel: str, len_classes: set[str]
     ) -> None:
-        self.path = path
+        self.rel = rel
+        self.module = source.name
         self.len_classes = len_classes
-        self.errors: list[LintError] = []
-        parts = package_parts(path)
+        self.findings: list[Finding] = []
+        parts = package_parts(source.path)
         self.in_core = bool(parts) and parts[0] == "core"
         self.needs_annotations = bool(parts) and parts[0] in ANNOTATED_PACKAGES
         #: Enclosing function names (for REPRO004).
@@ -160,19 +135,12 @@ class _FileLinter(ast.NodeVisitor):
         self.class_stack: list[str] = []
         #: Per-function map of parameter name -> __len__-bearing class.
         self.len_params: list[dict[str, str]] = []
-        self.tree = tree
 
     # -- helpers --------------------------------------------------------
 
     def report(self, node: ast.AST, code: str, message: str) -> None:
-        self.errors.append(
-            LintError(
-                str(self.path),
-                getattr(node, "lineno", 0),
-                getattr(node, "col_offset", 0),
-                code,
-                message,
-            )
+        self.findings.append(
+            Finding(code, self.rel, getattr(node, "lineno", 0), self.module, message)
         )
 
     # -- REPRO001: __slots__ on node classes ----------------------------
@@ -372,95 +340,46 @@ class _FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _waived(source_lines: list[str], error: LintError) -> bool:
-    """True when the offending line carries a matching ``# noqa``."""
-    if not 1 <= error.line <= len(source_lines):
-        return False
-    line = source_lines[error.line - 1]
-    marker = line.rfind("# noqa")
-    if marker < 0:
-        return False
-    tail = line[marker + len("# noqa") :].strip()
-    if not tail.startswith(":"):
-        return True  # bare `# noqa` waives everything on the line
-    return error.code in tail[1:].replace(",", " ").split()
-
-
-def lint_paths(
-    paths: Sequence[Path],
-    select: Optional[set[str]] = None,
-    sources: Optional[Sequence[SourceFile]] = None,
+def lint_sources(
+    sources: Sequence[SourceFile],
+    root: Optional[Path],
     cache: Optional[AnalysisCache] = None,
-) -> list[LintError]:
-    """Lint every Python file under ``paths``; returns surviving findings.
+) -> list[Finding]:
+    """Every lint finding in ``sources``, before inline suppressions.
 
-    ``sources`` lets a combined run (``python -m repro.verify``) hand in
-    the files it already parsed, so lint adds no second parse pass. A
-    ``cache`` additionally reuses per-file findings across runs: the key
-    covers the file content, its path, and the repo-wide set of
-    ``__len__``-bearing class names REPRO006 depends on, so any input
-    that could change a finding also changes the key.
+    Paths are reported relative to ``root``. A ``cache`` reuses
+    per-file findings across runs: the key covers the file content, its
+    path, its module name, and the repo-wide set of ``__len__``-bearing
+    class names REPRO006 depends on, so any input that could change a
+    finding also changes the key.
     """
-    if sources is None:
-        sources = load_sources(paths, cache)
     len_classes = collect_len_classes(sf.tree for sf in sources)
     len_digest = content_key(",".join(sorted(len_classes)))
-    errors: list[LintError] = []
+    findings: list[Finding] = []
     for source in sources:
-        raw: Optional[list[LintError]] = None
+        rel = relativize(source.path, root)
+        raw: Optional[list[Finding]] = None
         key = ""
         if cache is not None:
-            key = content_key(source.text, "lint", str(source.path), len_digest)
+            key = content_key(
+                source.text, "lint", str(source.path), rel, source.name, len_digest
+            )
             cached = cache.load("lint", key)
             if isinstance(cached, list):
                 raw = cached
         if raw is None:
-            linter = _FileLinter(source.path, source.tree, len_classes)
+            linter = _FileLinter(source, rel, len_classes)
             linter.visit(source.tree)
-            raw = linter.errors
+            raw = linter.findings
             if cache is not None:
                 cache.store("lint", key, raw)
-        for error in raw:
-            if select is not None and error.code not in select:
-                continue
-            if not _waived(source.lines, error):
-                errors.append(error)
-    return errors
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.verify.lint",
-        description="SMALTA repo-specific lint rules (REPRO001-REPRO006).",
-    )
-    parser.add_argument("paths", nargs="*", type=Path, help="files or directories")
-    parser.add_argument(
-        "--select",
-        help="comma-separated rule codes to enable (default: all)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    options = parser.parse_args(argv)
-    if options.list_rules:
-        for code, description in sorted(RULES.items()):
-            print(f"{code}: {description}")
-        return 0
-    if len(options.paths) == 0:
-        parser.error("at least one path is required")
-    select = (
-        {code.strip() for code in options.select.split(",")}
-        if options.select
-        else None
-    )
-    errors = lint_paths(options.paths, select, cache=default_cache(options.paths))
-    for error in sorted(errors, key=lambda e: (e.path, e.line, e.col)):
-        print(error)
-    if errors:
-        print(f"{len(errors)} finding(s)", file=sys.stderr)
-        return 1
-    return 0
+        findings.extend(raw)
+    return findings
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    print(
+        "repro.verify.lint is not a command; run: python -m repro.verify",
+        file=sys.stderr,
+    )
+    raise SystemExit(2)

@@ -13,7 +13,9 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.verify.cache import AnalysisCache
-from repro.verify.interleave import analyze_interleave
+from repro.verify.engine import analyze
+
+INTERLEAVE_SELECT = frozenset(f"REPRO0{i}" for i in range(18, 24))
 
 SPAWNER = (
     "import asyncio\n"
@@ -41,10 +43,10 @@ class TestIncrementalCache:
         cache_root = tmp_path / "cache"
         write_tree(src, {"caller.py": SPAWNER, "helper.py": ASYNC_HELPER})
         cold_cache = AnalysisCache(cache_root)
-        cold = analyze_interleave([src], cache=cold_cache)
+        cold = analyze([src], INTERLEAVE_SELECT, cache=cold_cache)
         assert cold_cache.misses > 0
         warm_cache = AnalysisCache(cache_root)
-        warm = analyze_interleave([src], cache=warm_cache)
+        warm = analyze([src], INTERLEAVE_SELECT, cache=warm_cache)
         assert warm_cache.misses == 0
         assert warm_cache.hits > 0
         assert [f.fingerprint() for f in warm] == [
@@ -57,10 +59,10 @@ class TestIncrementalCache:
         src = tmp_path / "proj"
         cache_root = tmp_path / "cache"
         write_tree(src, {"caller.py": SPAWNER, "helper.py": ASYNC_HELPER})
-        analyze_interleave([src], cache=AnalysisCache(cache_root))
+        analyze([src], INTERLEAVE_SELECT, cache=AnalysisCache(cache_root))
         write_tree(src, {"helper.py": ASYNC_HELPER + "\n# trailing note\n"})
         cache = AnalysisCache(cache_root)
-        findings = analyze_interleave([src], cache=cache)
+        findings = analyze([src], INTERLEAVE_SELECT, cache=cache)
         # caller.py: ast + interleave model hits; helper.py misses both.
         assert cache.hits >= 2
         assert 0 < cache.misses <= 2
@@ -75,11 +77,11 @@ class TestIncrementalCache:
         src = tmp_path / "proj"
         cache_root = tmp_path / "cache"
         write_tree(src, {"caller.py": SPAWNER, "helper.py": ASYNC_HELPER})
-        before = analyze_interleave([src], cache=AnalysisCache(cache_root))
+        before = analyze([src], INTERLEAVE_SELECT, cache=AnalysisCache(cache_root))
         assert [f.rule for f in before] == ["REPRO020"]
         write_tree(src, {"helper.py": SYNC_HELPER})
         cache = AnalysisCache(cache_root)
-        after = analyze_interleave([src], cache=cache)
+        after = analyze([src], INTERLEAVE_SELECT, cache=cache)
         assert after == []
         # caller.py stayed warm while the verdict still flipped.
         assert cache.hits >= 2
@@ -87,5 +89,5 @@ class TestIncrementalCache:
     def test_no_cache_still_analyzes(self, tmp_path) -> None:
         src = tmp_path / "proj"
         write_tree(src, {"caller.py": SPAWNER, "helper.py": ASYNC_HELPER})
-        findings = analyze_interleave([src], cache=None)
+        findings = analyze([src], INTERLEAVE_SELECT, cache=None)
         assert [f.rule for f in findings] == ["REPRO020"]

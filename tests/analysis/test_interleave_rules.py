@@ -8,13 +8,12 @@ Fixtures are analyzed, never imported.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.verify.interleave import RULES, analyze_interleave
+from repro.verify.engine import analyze
+from repro.verify.interleave.rules import SPECS
 
 FIXTURES = Path(__file__).resolve().parent / "interleave_fixtures"
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def symbols(findings) -> list[str]:
@@ -22,7 +21,7 @@ def symbols(findings) -> list[str]:
 
 
 def run(subdir: str, rule: str):
-    return analyze_interleave([FIXTURES / subdir], select=frozenset({rule}))
+    return analyze([FIXTURES / subdir], select=frozenset({rule}))
 
 
 class TestTornInvariant:
@@ -259,7 +258,7 @@ class TestCrossTaskAliasing:
 
 class TestCatalogAndRepo:
     def test_rule_catalog_is_complete(self) -> None:
-        assert sorted(RULES) == [
+        assert sorted(spec.code for spec in SPECS) == [
             "REPRO018",
             "REPRO019",
             "REPRO020",
@@ -267,13 +266,12 @@ class TestCatalogAndRepo:
             "REPRO022",
             "REPRO023",
         ]
-        for spec in RULES.values():
-            assert spec.code in RULES
+        for spec in SPECS:
             assert spec.summary
 
     def test_messages_carry_no_line_numbers(self) -> None:
         # Fingerprints hash the message: positions must be phrased as
-        # await segments, never source lines, or baselines churn.
+        # await segments, never source lines, or fingerprints churn.
         for subdir, rule in (
             ("rmw", "REPRO018"),
             ("tasks", "REPRO019"),
@@ -284,19 +282,3 @@ class TestCatalogAndRepo:
         ):
             for finding in run(subdir, rule):
                 assert "line" not in finding.message
-
-    def test_repo_sources_are_interleave_clean(self) -> None:
-        """The tentpole gate: the repo passes its own newest analyzer."""
-        findings = analyze_interleave(
-            [REPO_ROOT / "src" / "repro", REPO_ROOT / "examples"]
-        )
-        assert findings == []
-
-    def test_interleave_baseline_stays_empty(self) -> None:
-        """Checked-in baseline must stay empty: fix findings, don't bury."""
-        payload = json.loads(
-            (REPO_ROOT / ".interleave-baseline.json").read_text(
-                encoding="utf-8"
-            )
-        )
-        assert payload["fingerprints"] == {}

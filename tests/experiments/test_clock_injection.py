@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments import timing
 from repro.tools.report import run_report
-from repro.verify.effects import analyze_effects
+from repro.verify.engine import analyze
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -62,7 +62,5 @@ class TestModulesStayClean:
         "rel", ["src/repro/experiments/timing.py", "src/repro/tools/report.py"]
     )
     def test_effects_analyzer_is_silent(self, rel: str) -> None:
-        findings = analyze_effects(
-            [REPO_ROOT / rel], select=frozenset({"REPRO014"})
-        )
+        findings = analyze([REPO_ROOT / rel], select=frozenset({"REPRO014"}))
         assert findings == []

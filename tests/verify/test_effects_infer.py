@@ -6,9 +6,9 @@ from pathlib import Path
 
 from repro.verify.cache import AnalysisCache
 from repro.verify.config import load_sources
-from repro.verify.effects.infer import _tarjan_sccs, infer_effects
+from repro.verify.effects.infer import infer_effects
 from repro.verify.effects.summary import module_bindings
-from repro.verify.flow.callgraph import CallGraph
+from repro.verify.flow.callgraph import CallGraph, tarjan_sccs
 from repro.verify.flow.project import Project
 
 
@@ -26,22 +26,22 @@ def build(tmp_path: Path, files: dict[str, str], cache=None):
 
 class TestTarjan:
     def test_chain_emits_callees_first(self) -> None:
-        comps = _tarjan_sccs(["a", "b", "c"], {"a": {"b"}, "b": {"c"}})
+        comps = tarjan_sccs(["a", "b", "c"], {"a": {"b"}, "b": {"c"}})
         assert comps == [["c"], ["b"], ["a"]]
 
     def test_cycle_is_one_component(self) -> None:
-        comps = _tarjan_sccs(
+        comps = tarjan_sccs(
             ["a", "b", "c", "d"], {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}
         )
         assert ["a", "b", "c"] in comps
         assert comps.index(["a", "b", "c"]) < comps.index(["d"])
 
     def test_self_loop(self) -> None:
-        comps = _tarjan_sccs(["a"], {"a": {"a"}})
+        comps = tarjan_sccs(["a"], {"a": {"a"}})
         assert comps == [["a"]]
 
     def test_disconnected_nodes_all_emitted(self) -> None:
-        comps = _tarjan_sccs(["x", "y"], {})
+        comps = tarjan_sccs(["x", "y"], {})
         assert sorted(c[0] for c in comps) == ["x", "y"]
 
     def test_large_chain_is_iterative(self) -> None:
@@ -50,7 +50,7 @@ class TestTarjan:
         size = 5_000
         nodes = [f"n{i}" for i in range(size)]
         edges = {f"n{i}": {f"n{i + 1}"} for i in range(size - 1)}
-        comps = _tarjan_sccs(nodes, edges)
+        comps = tarjan_sccs(nodes, edges)
         assert len(comps) == size
 
 

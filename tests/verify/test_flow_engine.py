@@ -3,13 +3,12 @@
 Covers the pieces underneath the rules: CFG construction, the
 liveness and forward-fixpoint solvers, call-graph resolution and the
 Tarjan cycle finder, the suppression grammar (with a hypothesis
-round-trip), and fingerprint/baseline plumbing.
+round-trip), and fingerprints.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from pathlib import Path
 
 import pytest
@@ -24,18 +23,14 @@ from repro.verify.flow.dataflow import (
     stmt_defs,
     stmt_uses,
 )
-from repro.verify.flow.project import Project
-from repro.verify.flow.report import (
+from repro.verify.findings import (
     Finding,
-    load_baseline,
-    write_baseline,
-)
-from repro.verify.flow.suppress import (
     allowed_codes,
     format_allow,
     is_suppressed,
     parse_allow,
 )
+from repro.verify.flow.project import Project
 
 FIXTURES = Path(__file__).resolve().parent / "flow_fixtures"
 
@@ -261,7 +256,7 @@ class TestSuppressionProperty:
         round_trip()
 
 
-class TestBaseline:
+class TestFingerprint:
     def _finding(self, message: str = "boom") -> Finding:
         return Finding(
             rule="REPRO008",
@@ -286,15 +281,3 @@ class TestBaseline:
             self._finding("boom").fingerprint()
             != self._finding("bang").fingerprint()
         )
-
-    def test_write_and_load_round_trip(self, tmp_path: Path) -> None:
-        baseline = tmp_path / "base.json"
-        findings = [self._finding("boom"), self._finding("bang")]
-        write_baseline(baseline, findings)
-        loaded = load_baseline(baseline)
-        assert loaded == frozenset(f.fingerprint() for f in findings)
-        payload = json.loads(baseline.read_text(encoding="utf-8"))
-        assert payload["version"] == 1
-
-    def test_missing_baseline_is_empty(self, tmp_path: Path) -> None:
-        assert load_baseline(tmp_path / "absent.json") == frozenset()

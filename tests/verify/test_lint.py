@@ -1,4 +1,4 @@
-"""Fixture tests for the repo-specific AST lint pass.
+"""Fixture tests for the repo-specific per-file lint rules (REPRO001-006).
 
 Each rule gets a minimal module that violates it (the rule fires), a
 compliant variant (it stays silent), and a ``# noqa`` waiver check.
@@ -9,7 +9,10 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.verify.lint import RULES, LintError, lint_paths, main
+from repro.verify.engine import RULES, analyze
+from repro.verify.findings import Finding
+
+LINT_SELECT = frozenset(f"REPRO00{i}" for i in range(1, 7))
 
 
 def write(tmp_path: Path, relative: str, source: str) -> Path:
@@ -19,12 +22,23 @@ def write(tmp_path: Path, relative: str, source: str) -> Path:
     return path
 
 
-def codes(errors: list[LintError]) -> list[str]:
-    return [error.code for error in errors]
+def lint(paths: list[Path]) -> list[Finding]:
+    return analyze(paths, LINT_SELECT)
+
+
+def codes(findings: list[Finding]) -> list[str]:
+    return [finding.rule for finding in findings]
 
 
 def test_rule_catalogue_is_complete():
-    assert sorted(RULES) == [f"REPRO00{i}" for i in range(1, 7)]
+    assert [RULES[code].name for code in sorted(LINT_SELECT)] == [
+        "missing-slots",
+        "trie-write-outside-core",
+        "wall-clock-call",
+        "recursive-walker",
+        "untyped-public",
+        "falsy-len-guard",
+    ]
 
 
 # -- REPRO001: __slots__ on node classes -------------------------------------
@@ -32,17 +46,17 @@ def test_rule_catalogue_is_complete():
 
 def test_missing_slots_fires(tmp_path):
     bad = write(tmp_path, "a.py", "class TrieNode:\n    pass\n")
-    assert codes(lint_paths([bad])) == ["REPRO001"]
+    assert codes(lint([bad])) == ["REPRO001"]
 
 
 def test_slots_declared_is_clean(tmp_path):
     good = write(tmp_path, "a.py", "class TrieNode:\n    __slots__ = ()\n")
-    assert lint_paths([good]) == []
+    assert lint([good]) == []
 
 
 def test_non_node_class_exempt(tmp_path):
     good = write(tmp_path, "a.py", "class Manager:\n    pass\n")
-    assert lint_paths([good]) == []
+    assert lint([good]) == []
 
 
 # -- REPRO002: trie bookkeeping writes confined to core ----------------------
@@ -54,7 +68,7 @@ def test_trie_write_outside_core_fires(tmp_path):
         "experiments/mod.py",
         "def _poke(node):\n    node.d_a = None\n",
     )
-    assert codes(lint_paths([bad])) == ["REPRO002"]
+    assert codes(lint([bad])) == ["REPRO002"]
 
 
 def test_trie_write_inside_core_allowed(tmp_path):
@@ -63,7 +77,7 @@ def test_trie_write_inside_core_allowed(tmp_path):
         "repro/core/mod.py",
         "def _poke(node):\n    node.d_a = None\n",
     )
-    assert lint_paths([good]) == []
+    assert lint([good]) == []
 
 
 # -- REPRO003: injected clocks only ------------------------------------------
@@ -75,7 +89,7 @@ def test_wall_clock_fires(tmp_path):
         "a.py",
         "import time\n\ndef _stamp():\n    return time.time()\n",
     )
-    assert codes(lint_paths([bad])) == ["REPRO003"]
+    assert codes(lint([bad])) == ["REPRO003"]
 
 
 def test_wall_clock_noqa_waived(tmp_path):
@@ -85,7 +99,7 @@ def test_wall_clock_noqa_waived(tmp_path):
         "import time\n\ndef _stamp():\n"
         "    return time.time()  # noqa: REPRO003\n",
     )
-    assert lint_paths([waived]) == []
+    assert lint([waived]) == []
 
 
 def test_bare_noqa_waives_everything(tmp_path):
@@ -94,7 +108,7 @@ def test_bare_noqa_waives_everything(tmp_path):
         "a.py",
         "import time\n\ndef _stamp():\n    return time.time()  # noqa\n",
     )
-    assert lint_paths([waived]) == []
+    assert lint([waived]) == []
 
 
 def test_injected_clock_is_clean(tmp_path):
@@ -103,7 +117,7 @@ def test_injected_clock_is_clean(tmp_path):
         "a.py",
         "def _stamp(clock):\n    return clock()\n",
     )
-    assert lint_paths([good]) == []
+    assert lint([good]) == []
 
 
 # -- REPRO004: no self-recursive walkers -------------------------------------
@@ -117,7 +131,7 @@ def test_recursive_function_fires(tmp_path):
         "    for child in node.children():\n"
         "        _walk(child)\n",
     )
-    assert codes(lint_paths([bad])) == ["REPRO004"]
+    assert codes(lint([bad])) == ["REPRO004"]
 
 
 def test_recursive_method_fires(tmp_path):
@@ -128,7 +142,7 @@ def test_recursive_method_fires(tmp_path):
         "    def _walk(self, node):\n"
         "        self._walk(node.left)\n",
     )
-    assert codes(lint_paths([bad])) == ["REPRO004"]
+    assert codes(lint([bad])) == ["REPRO004"]
 
 
 def test_delegating_call_is_not_recursion(tmp_path):
@@ -139,7 +153,7 @@ def test_delegating_call_is_not_recursion(tmp_path):
         "    def apply(self, update):\n"
         "        return self.manager.apply(update)\n",
     )
-    assert lint_paths([good]) == []
+    assert lint([good]) == []
 
 
 # -- REPRO005: annotated public API in core/net/verify -----------------------
@@ -151,7 +165,7 @@ def test_untyped_public_function_in_core_fires(tmp_path):
         "repro/core/mod.py",
         "def walk(trie):\n    return trie\n",
     )
-    found = codes(lint_paths([bad]))
+    found = codes(lint([bad]))
     assert found == ["REPRO005", "REPRO005"]  # the parameter and the return
 
 
@@ -161,7 +175,7 @@ def test_typed_public_function_is_clean(tmp_path):
         "repro/core/mod.py",
         "def walk(trie: object) -> object:\n    return trie\n",
     )
-    assert lint_paths([good]) == []
+    assert lint([good]) == []
 
 
 def test_private_and_out_of_scope_functions_exempt(tmp_path):
@@ -177,7 +191,7 @@ def test_private_and_out_of_scope_functions_exempt(tmp_path):
         "repro/core/other.py",
         "def _walk(trie):\n    return trie\n",
     )
-    assert lint_paths([good, private]) == []
+    assert lint([good, private]) == []
 
 
 # -- REPRO006: no truthiness tests on __len__-bearing parameters -------------
@@ -198,7 +212,7 @@ def test_falsy_len_guard_fires(tmp_path):
         "    if log:\n"
         "        return log\n",
     )
-    assert codes(lint_paths([tmp_path / "defs.py", bad])) == ["REPRO006"]
+    assert codes(lint([tmp_path / "defs.py", bad])) == ["REPRO006"]
 
 
 def test_falsy_len_guard_unwraps_optional(tmp_path):
@@ -210,7 +224,7 @@ def test_falsy_len_guard_unwraps_optional(tmp_path):
         "def _pick(log: Optional[DownloadLog]):\n"
         "    return log or DownloadLog()\n",
     )
-    assert codes(lint_paths([tmp_path / "defs.py", bad])) == ["REPRO006"]
+    assert codes(lint([tmp_path / "defs.py", bad])) == ["REPRO006"]
 
 
 def test_is_not_none_guard_is_clean(tmp_path):
@@ -222,38 +236,4 @@ def test_is_not_none_guard_is_clean(tmp_path):
         "    if log is not None:\n"
         "        return log\n",
     )
-    assert lint_paths([tmp_path / "defs.py", good]) == []
-
-
-# -- CLI surface -------------------------------------------------------------
-
-
-def test_main_exit_codes(tmp_path, capsys):
-    clean = write(tmp_path, "clean.py", "X = 1\n")
-    dirty = write(tmp_path, "dirty.py", "class BadNode:\n    pass\n")
-    assert main([str(clean)]) == 0
-    assert main([str(dirty)]) == 1
-    assert "REPRO001" in capsys.readouterr().out
-
-
-def test_main_select_restricts_rules(tmp_path):
-    dirty = write(
-        tmp_path,
-        "dirty.py",
-        "import time\n\nclass BadNode:\n    pass\n\n"
-        "def _stamp():\n    return time.time()\n",
-    )
-    assert main([str(dirty), "--select", "REPRO001"]) == 1
-    assert main([str(dirty), "--select", "REPRO002"]) == 0
-
-
-def test_list_rules(capsys):
-    assert main(["--list-rules", "ignored"]) == 0
-    out = capsys.readouterr().out
-    for code in RULES:
-        assert code in out
-
-
-def test_whole_repo_is_clean():
-    src = Path(__file__).resolve().parents[2] / "src"
-    assert lint_paths([src]) == []
+    assert lint([tmp_path / "defs.py", good]) == []

@@ -1,4 +1,4 @@
-"""SARIF conformance and fingerprint-stability tests for every pass.
+"""SARIF conformance and fingerprint-stability tests for every rule family.
 
 The container has no ``jsonschema`` package, so a tiny hand-written
 validator interprets the vendored minimal schema
@@ -15,11 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.verify.cli import main as verify_main
-from repro.verify.cli import rule_index
-from repro.verify.effects import analyze_effects
-from repro.verify.flow import analyze as flow_analyze
-from repro.verify.flow.report import Finding, render_sarif
-from repro.verify.interleave import analyze_interleave
+from repro.verify.engine import RULES, analyze
+from repro.verify.findings import Finding
 
 HERE = Path(__file__).resolve().parent
 SCHEMA = json.loads((HERE / "sarif_schema_2_1_0.json").read_text(encoding="utf-8"))
@@ -124,51 +121,48 @@ class TestMiniValidator:
         assert any("expected array" in e for e in validate(doc))
 
 
-def _sarif_from_cli(main, argv) -> dict:
+def _sarif_from_cli(argv) -> dict:
     import contextlib
     import io
 
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = main(argv)
+        code = verify_main([*argv, "--format", "sarif"])
     assert code in (0, 1)
     return json.loads(buffer.getvalue())
 
 
 class TestSarifConformance:
-    def test_flow_cli_sarif_validates(self) -> None:
-        from repro.verify.flow.cli import main as flow_main
-
-        doc = _sarif_from_cli(
-            flow_main, [str(FLOW_FIXTURES / "rec"), "--format", "sarif"]
-        )
+    @pytest.mark.parametrize(
+        ("argv", "rules"),
+        [
+            pytest.param(
+                [str(FLOW_FIXTURES / "rec"), "--select", "REPRO007"],
+                ["REPRO007", "REPRO007"],
+                id="rec",
+            ),
+            pytest.param(
+                [str(FIXTURES / "seam")],
+                ["REPRO003", "REPRO005", "REPRO014", "REPRO014", "REPRO014"],
+                id="seam",
+            ),
+            pytest.param(
+                [str(INTERLEAVE_FIXTURES / "tasks")],
+                ["REPRO019", "REPRO019"],
+                id="tasks",
+            ),
+        ],
+    )
+    def test_sarif_validates(self, argv: list[str], rules: list[str]) -> None:
+        doc = _sarif_from_cli(argv)
         assert validate(doc) == []
-        assert doc["runs"][0]["results"]
-
-    def test_effects_cli_sarif_validates(self) -> None:
-        from repro.verify.effects.cli import main as effects_main
-
-        doc = _sarif_from_cli(
-            effects_main, [str(FIXTURES / "seam"), "--format", "sarif"]
-        )
-        assert validate(doc) == []
-        assert doc["runs"][0]["results"]
-
-    def test_interleave_cli_sarif_validates(self) -> None:
-        from repro.verify.interleave.cli import main as interleave_main
-
-        doc = _sarif_from_cli(
-            interleave_main,
-            [str(INTERLEAVE_FIXTURES / "tasks"), "--format", "sarif"],
-        )
-        assert validate(doc) == []
-        assert doc["runs"][0]["results"]
+        assert sorted(r["ruleId"] for r in doc["runs"][0]["results"]) == rules
 
     def test_umbrella_sarif_merges_all_passes(self, tmp_path) -> None:
         # One file violating a lint rule (REPRO003 wall clock) plus a
         # dropped coroutine (REPRO020), analyzed together with
         # effect-rule idioms: the merged document must carry rule
-        # metadata for every pass and still validate.
+        # metadata for every rule and still validate.
         sample = tmp_path / "mixed.py"
         sample.write_text(
             "import time\n\n\ndef stamp():\n    return time.time()\n\n\n"
@@ -176,21 +170,17 @@ class TestSarifConformance:
             "async def top():\n    helper()\n",
             encoding="utf-8",
         )
-        doc = _sarif_from_cli(verify_main, [str(tmp_path), "--format", "sarif"])
+        doc = _sarif_from_cli([str(tmp_path)])
         assert validate(doc) == []
         rule_ids = {r["ruleId"] for r in doc["runs"][0]["results"]}
         assert "REPRO003" in rule_ids  # lint pass
         assert "REPRO014" in rule_ids  # effects pass
         assert "REPRO020" in rule_ids  # interleave pass
         declared = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert set(rule_index()) == declared
+        assert set(RULES) == declared
 
     def test_every_result_rule_is_declared(self) -> None:
-        from repro.verify.effects.cli import main as effects_main
-
-        doc = _sarif_from_cli(
-            effects_main, [str(FIXTURES / "snap"), "--format", "sarif"]
-        )
+        doc = _sarif_from_cli([str(FIXTURES / "snap")])
         declared = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
         used = {r["ruleId"] for r in doc["runs"][0]["results"]}
         assert used <= declared
@@ -198,7 +188,7 @@ class TestSarifConformance:
 
 class TestFingerprintStability:
     """Fingerprints hash rule+path+symbol+message — never line numbers —
-    so shifting code down a file must not invalidate baselines."""
+    so shifting code down a file must not change them."""
 
     def test_fingerprint_ignores_the_line(self) -> None:
         a = Finding("REPRO013", "pkg/mod.py", 10, "mod.f", "message")
@@ -209,21 +199,9 @@ class TestFingerprintStability:
         ).fingerprint()
 
     @pytest.mark.parametrize(
-        ("fixture", "runner", "kwargs"),
-        [
-            ("lint", None, {}),
-            ("flow", flow_analyze, {"select": frozenset({"REPRO007"})}),
-            ("effects", analyze_effects, {"select": frozenset({"REPRO014"})}),
-            (
-                "interleave",
-                analyze_interleave,
-                {"select": frozenset({"REPRO018"})},
-            ),
-        ],
+        "code", ["REPRO003", "REPRO007", "REPRO014", "REPRO018"]
     )
-    def test_line_shift_preserves_fingerprints(
-        self, tmp_path, fixture, runner, kwargs
-    ) -> None:
+    def test_line_shift_preserves_fingerprints(self, tmp_path, code) -> None:
         body = (
             "import asyncio\n"
             "import time\n"
@@ -236,30 +214,12 @@ class TestFingerprintStability:
             "            await asyncio.sleep(0)\n"
             "            self._control = walk(None)\n"
         )
-        target = tmp_path / f"{fixture}_case.py"
+        target = tmp_path / "case.py"
         target.write_text(body, encoding="utf-8")
-        if runner is None:
-            before = self._lint_fingerprints(tmp_path)
-        else:
-            before = {f.fingerprint() for f in runner([tmp_path], **kwargs)}
+        select = frozenset({code})
+        before = {f.fingerprint() for f in analyze([tmp_path], select)}
         assert before
         # Shift every line of code down by three comment lines.
         target.write_text("# moved\n# moved\n# moved\n" + body, encoding="utf-8")
-        if runner is None:
-            after = self._lint_fingerprints(tmp_path)
-        else:
-            after = {f.fingerprint() for f in runner([tmp_path], **kwargs)}
+        after = {f.fingerprint() for f in analyze([tmp_path], select)}
         assert before == after
-
-    @staticmethod
-    def _lint_fingerprints(root: Path) -> set[str]:
-        # Lint findings travel through the umbrella conversion to share
-        # the flow layer's fingerprint machinery.
-        from repro.verify.cli import _lint_findings
-        from repro.verify.lint import lint_paths
-
-        errors = lint_paths([root], select={"REPRO003"})
-        names = {e.path: Path(e.path).stem for e in errors}
-        return {
-            f.fingerprint() for f in _lint_findings(errors, names, root)
-        }
