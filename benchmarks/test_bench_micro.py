@@ -1,9 +1,11 @@
 """Micro-benchmarks of the core operations (statistical rounds).
 
-These are the costs the paper discusses in Section 4.3: snapshot(OT)
-(paper: 200 ms – 1 s in C), per-update incorporation (paper: <1 µs in C),
-plus the substrate operations (Tree Bitmap build/lookup, the TaCo
-equivalence check) that the evaluation machinery relies on.
+The entry-stream ORTC (the paper's Section 4.3 snapshot cost: 200 ms – 1 s
+in C), audited incorporation, and the substrate operations (Tree Bitmap
+build/lookup, the invariant audit, the TaCo equivalence check) that the
+evaluation machinery relies on. The snapshot and the per-update path
+themselves are measured end to end by perfbench's ``snapshot_cycle`` and
+``churn_seq`` workloads.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from repro.core.manager import SmaltaManager
 from repro.core.ortc import ortc
 from repro.core.smalta import SmaltaState
 from repro.fib.treebitmap import TreeBitmap
-from repro.net.update import UpdateKind
 from repro.verify import AuditConfig, audit_state
 
 
@@ -32,31 +33,6 @@ def test_bench_ortc_snapshot(benchmark, bench_table):
     table, _ = bench_table
     result = benchmark(lambda: ortc(table.items(), 32))
     assert 0 < len(result) < len(table)
-
-
-def test_bench_smalta_snapshot(benchmark, bench_table):
-    table, _ = bench_table
-    state = make_state(table)
-    benchmark(state.snapshot)
-
-
-def test_bench_incremental_updates(benchmark, bench_table, bench_trace):
-    """Throughput of Insert/Delete over a realistic churn trace."""
-    table, _ = bench_table
-    state = make_state(table)
-    cycle = itertools.cycle(bench_trace)
-
-    def one_update():
-        update = next(cycle)
-        if update.kind is UpdateKind.ANNOUNCE:
-            state.insert(update.prefix, update.nexthop)
-        else:
-            try:
-                state.delete(update.prefix)
-            except KeyError:
-                pass
-
-    benchmark(one_update)
 
 
 def test_bench_audited_updates(benchmark, bench_table, bench_trace):

@@ -22,7 +22,7 @@ from repro.core.equivalence import (
 from repro.core.manager import SmaltaManager
 from repro.core.outofband import OutOfBandManager
 from repro.core.optimal import optimal_table_size
-from repro.core.ortc import ortc, ortc_from_trie
+from repro.core.ortc import ortc
 from repro.core.policy import (
     CombinedPolicy,
     GrowthSnapshotPolicy,
@@ -57,6 +57,5 @@ __all__ = [
     "equivalence_counterexample",
     "optimal_table_size",
     "ortc",
-    "ortc_from_trie",
     "semantically_equivalent",
 ]

@@ -20,6 +20,19 @@ The output is provably minimal in entry count over the alphabet of real
 nexthops plus DROP, which is exactly the "no whiteholing" semantics the
 paper requires: unrouted space stays unrouted, via structure or via
 explicit null-route entries.
+
+The module runs ORTC two ways:
+
+- :func:`ortc` — the entry-stream reference: it builds a scratch tree of
+  :class:`_ONode` from any ``(prefix, nexthop)`` iterable and runs the
+  three passes over it. The tests and the benchmark gate compare the
+  snapshot against it, so it shares no state with the snapshot.
+- :func:`ortc_region` — passes 2 and 3 (:func:`_bottom_up`,
+  :func:`_top_down`) on the live :class:`~repro.core.trie.FibTrie`,
+  redone only where the trie's writers marked a change since the last
+  snapshot (the ``dirty`` marks below). The pass-2 sets and pass-3
+  choices stay on the trie's nodes between snapshots;
+  :meth:`~repro.core.trie.FibTrie.ortc_table` runs it.
 """
 
 from __future__ import annotations
@@ -30,7 +43,17 @@ from repro.net.nexthop import DROP, Nexthop
 from repro.net.prefix import Prefix
 
 if TYPE_CHECKING:
-    from repro.core.trie import FibTrie
+    from repro.core.trie import FibTrie, Node
+
+#: ``Node.dirty`` values: what changed at a node since the last snapshot
+#: installed its labels. A flagged node's ancestors are always flagged.
+CLEAN = 0
+#: The node or a descendant was written (an OT, AT or π write), or the
+#: last ORTC run found the node's inherited choice moved.
+DIRTY = 1
+#: The node's own OT label changed, so the label its unlabelled
+#: descendants inherit changed too.
+OT_DIRTY = 2
 
 
 class _ONode:
@@ -73,7 +96,7 @@ def _merge(a: frozenset[Nexthop], b: frozenset[Nexthop]) -> frozenset[Nexthop]:
     return inter if inter else a | b
 
 
-class _SetInterner:
+class SetInterner:
     """Deduplicates the pass-2 candidate sets, the dominant allocation.
 
     Real tables have few distinct nexthops, so the same small frozensets
@@ -81,7 +104,9 @@ class _SetInterner:
     set exist once; because members are interned, the merge of two sets
     can additionally be memoized by identity, skipping the set algebra
     itself on repeats. The caches hold references, so the ids used as
-    keys stay valid for the interner's lifetime (one ORTC run).
+    keys stay valid for the interner's lifetime: one reference ORTC run,
+    or the life of the :class:`~repro.core.trie.FibTrie` that owns it.
+    It grows with the distinct nexthop combinations, not the table.
     """
 
     __slots__ = ("_singletons", "_interned", "_merges")
@@ -111,9 +136,9 @@ class _SetInterner:
         return got
 
 
-def _bottom_up(root: _ONode) -> None:
-    """Passes 1+2: compute effective inherited labels and candidate sets."""
-    interner = _SetInterner()
+def _scratch_bottom_up(root: _ONode) -> None:
+    """Passes 1+2 on the scratch tree: effective labels and candidate sets."""
+    interner = SetInterner()
     # Iterative post-order: (node, inherited, expanded?) frames.
     stack: list[tuple[_ONode, Nexthop, bool]] = [(root, DROP, False)]
     while stack:
@@ -136,8 +161,8 @@ def _bottom_up(root: _ONode) -> None:
             node.nhset = interner.merge(left_set, right_set)
 
 
-def _top_down(root: _ONode, width: int) -> dict[Prefix, Nexthop]:
-    """Pass 3: assign nexthops top-down, emitting only necessary entries."""
+def _scratch_top_down(root: _ONode, width: int) -> dict[Prefix, Nexthop]:
+    """Pass 3 on the scratch tree: emit only the necessary entries."""
     out: dict[Prefix, Nexthop] = {}
     stack: list[tuple[_ONode, Nexthop, int, int]] = [(root, DROP, 0, 0)]
     while stack:
@@ -176,34 +201,109 @@ def ortc(
     the same nexthop, with "no match" treated as DROP.
     """
     root = _build(entries, width)
-    _bottom_up(root)
-    return _top_down(root, width)
+    _scratch_bottom_up(root)
+    return _scratch_top_down(root, width)
 
 
-def ortc_from_trie(trie: FibTrie) -> dict[Prefix, Nexthop]:
-    """Snapshot fast path: ORTC fed directly from the live union trie.
+def _bottom_up(trie: FibTrie) -> None:
+    """Pass 2 on the live trie, redone only on the marked region.
 
-    Mirrors the :class:`~repro.core.trie.FibTrie` structure into the
-    scratch tree in a single walk — no ``ot_table()`` dict, no per-entry
-    bit-by-bit re-insertion from the root — then runs passes 2 and 3
-    unchanged. The mirror may contain extra unlabeled leaves (nodes that
-    exist only for AT labels or bookkeeping); these are semantically the
-    phantom leaves pass 1 already models — an unlabeled leaf carries the
-    singleton set of its inherited nexthop, exactly what a missing child
-    contributes — so the output table is *identical* to
-    ``ortc(trie.ot_entries(), trie.width)``, which the differential tests
-    assert.
+    The region is every flagged node (the root path of each write since
+    the last snapshot) plus, below each node whose OT label changed, the
+    unlabelled nodes that inherit that label. A node's set depends only
+    on the OT labels below it and the label it inherits, so every other
+    node's set, kept from the last run, is still exact. The region's
+    inheriting nodes are flagged here, so pass 3 and the install visit
+    them too. Unlabelled subtrees (AT-only or bookkeeping nodes) carry
+    the singleton of their inherited label, as a phantom leaf would, so
+    the sets equal those of the scratch tree :func:`ortc` builds.
     """
-    root = _ONode()
-    stack = [(trie.root, root)]
+    root = trie.root
+    if not root.dirty:
+        return
+    singleton = trie.interner.singleton
+    merge = trie.interner.merge
+    # Post-order frames: (node, inherited label, inherited label changed?,
+    # expanded?).
+    stack: list[tuple[Node, Nexthop, bool, bool]] = [(root, DROP, False, False)]
     while stack:
-        node, mirror = stack.pop()
-        mirror.label = node.d_o
-        if node.left is not None:
-            mirror.left = _ONode()
-            stack.append((node.left, mirror.left))
-        if node.right is not None:
-            mirror.right = _ONode()
-            stack.append((node.right, mirror.right))
-    _bottom_up(root)
-    return _top_down(root, trie.width)
+        node, inherited, changed, expanded = stack.pop()
+        d_o = node.d_o
+        eff = d_o if d_o is not None else inherited
+        left = node.left
+        right = node.right
+        if not expanded:
+            stack.append((node, inherited, changed, True))
+            changed = node.dirty == OT_DIRTY or (changed and d_o is None)
+            for child in (right, left):
+                if child is None:
+                    continue
+                if child.dirty:
+                    stack.append((child, eff, changed, False))
+                elif changed and child.d_o is None:
+                    child.dirty = DIRTY
+                    stack.append((child, eff, changed, False))
+            continue
+        if left is None and right is None:
+            node.nhset = singleton(eff)
+        else:
+            phantom = singleton(eff)
+            node.nhset = merge(
+                left.nhset if left is not None else phantom,
+                right.nhset if right is not None else phantom,
+            )
+
+
+def _top_down(trie: FibTrie) -> dict[Prefix, Nexthop]:
+    """Pass 3 on the live trie: the new labels of the marked region.
+
+    Visits every flagged node, and below it every node whose inherited
+    choice differs from the one it had at the last run, flagging those
+    so the install visits them. Elsewhere both the sets and the inherited
+    choices are unchanged, so the labels are too. Each visited node keeps
+    its choice for the next run. The result holds the region's new labels
+    (phantom leaves included) in the order a full pass 3 over this trie's
+    nodes would emit them: a node, its missing halves, then its right
+    and left subtrees.
+    """
+    out: dict[Prefix, Nexthop] = {}
+    root = trie.root
+    if not root.dirty:
+        return out
+    # Pre-order frames: (node, parent's choice, inherited label).
+    stack: list[tuple[Node, Nexthop, Nexthop]] = [(root, DROP, DROP)]
+    while stack:
+        node, assigned, inherited = stack.pop()
+        nhset = node.nhset
+        if assigned in nhset:
+            choice = assigned
+        else:
+            choice = min(nhset)
+            out[node.prefix] = choice
+        moved = choice != node.choice
+        node.choice = choice
+        left = node.left
+        right = node.right
+        if left is None and right is None:
+            continue
+        d_o = node.d_o
+        eff = d_o if d_o is not None else inherited
+        if left is None:
+            if eff != choice:
+                out[node.prefix.child(0)] = eff
+        elif left.dirty or moved:
+            left.dirty = left.dirty or DIRTY
+            stack.append((left, choice, eff))
+        if right is None:
+            if eff != choice:
+                out[node.prefix.child(1)] = eff
+        elif right.dirty or moved:
+            right.dirty = right.dirty or DIRTY
+            stack.append((right, choice, eff))
+    return out
+
+
+def ortc_region(trie: FibTrie) -> dict[Prefix, Nexthop]:
+    """Passes 2 and 3 over the trie's marked region: its new labels."""
+    _bottom_up(trie)
+    return _top_down(trie)

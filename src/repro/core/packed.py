@@ -4,10 +4,11 @@ The reference :class:`~repro.core.trie.FibTrie` answers a longest-prefix
 lookup by chasing one Python object per bit — up to 33 pointer hops and
 attribute loads per address at IPv4 width. ``PackedBackend`` keeps that
 node trie as a *shadow* (so every structural walk ``SmaltaState`` and
-the auditor make — ψ walks, ``ortc_from_trie``, entry iteration —
-behaves byte-for-byte like the reference), and overlays two
-level-compressed stride tables (one per label plane, OT and AT) built
-from flat ``array`` buffers with no per-node objects at all:
+the auditor make — ψ walks, the snapshot's ORTC passes and install,
+entry iteration — behaves byte-for-byte like the reference), and
+overlays two level-compressed stride tables (one per label plane, OT
+and AT) built from flat ``array`` buffers with no per-node objects at
+all:
 
 - the first level is one directly-indexed block of ``2**s0`` slots
   (``s0 = min(16, width)`` — the DIR-24-8 idea scaled to the configured
@@ -356,8 +357,10 @@ class PackedBackend(FibTrie):
 
     Structurally this *is* the reference trie — every node, label, and
     bookkeeping pointer lives in the inherited shadow, so the auditor,
-    ψ walks, ``ortc_from_trie``, and entry iteration are inherited
-    verbatim and the download log stays byte-identical by construction.
+    ψ walks, the snapshot's ORTC passes and install, and entry
+    iteration are inherited verbatim and the download log stays
+    byte-identical by construction. The snapshot's change marks come
+    with the inherited writers, which both overrides below call.
     What changes hands: the two label mutation points additionally
     patch a :class:`_PackedTable` per plane, and the two hot-path
     lookups read those arrays instead of walking nodes.

@@ -8,7 +8,8 @@
 - ``apply_batch(ops)`` — a burst of updates coalesced to their per-prefix
   net effect before Algorithms 1–2 run, with one download drain for the
   whole burst,
-- ``snapshot()``  — the ORTC rebuild plus the FIB-download delta,
+- ``snapshot()``  — ORTC redone on what changed since the last snapshot,
+  plus the FIB-download delta,
 - ``load(N, Q)``  — OT-only population used before End-of-RIB.
 
 Null-nexthop convention: the paper's ε does double duty (a node absent
@@ -29,6 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.core.downloads import FibDownload, diff_tables
+from repro.core.ortc import CLEAN
 from repro.core.trie import FibTrie, Node
 from repro.net.nexthop import DROP, Nexthop
 from repro.net.prefix import Prefix
@@ -405,17 +407,20 @@ class SmaltaState:
 
     @must_consume
     def snapshot(self, count: bool = True) -> list[FibDownload]:
-        """snapshot(OT): rebuild the AT optimally via ORTC (Section 2.1).
+        """snapshot(OT): make the AT optimal again via ORTC (Section 2.1).
 
         Returns the FIB-download delta between the pre- and post-snapshot
         ATs using the paper's Graceful-Restart accounting (a changed
         nexthop is a Delete followed by an Insert).
 
-        The rebuild itself is :meth:`~repro.core.trie.FibTrie.ortc_table`:
-        the trie mirrors itself into the ORTC scratch tree in one walk
-        instead of re-inserting every OT entry bit by bit from the root,
-        and the result is identical to the entry-stream
-        :func:`~repro.core.ortc.ortc`.
+        Only the region the trie's writers marked since the last snapshot
+        is redone: :meth:`~repro.core.trie.FibTrie.ortc_table` reruns
+        ORTC passes 2 and 3 there and returns the region's new labels,
+        :meth:`_install` writes the labels and preimage pointers that
+        differ, and the delta is ``diff_tables`` over the region's old
+        and new labels. Everywhere else the AT and its pointers already
+        are what a full rebuild would produce. The End-of-RIB snapshot
+        takes the same path with every node marked by the loading.
 
         ``count=False`` suppresses the ``smalta_snapshots_total``
         increment — used by the runtime toggle, which accounts its
@@ -427,23 +432,14 @@ class SmaltaState:
         with self.obs.span(
             "smalta_ortc", "ORTC rebuild inside snapshot(OT)"
         ):
-            new_table = trie.ortc_table()
-        old_table = trie.at_table()
-        downloads = diff_tables(old_table, new_table)
-
+            new_labels = trie.ortc_table()
         self._capture = False
         try:
-            for node in list(trie.iter_nodes()):
-                trie.set_pi(node, None)
-            for prefix in old_table:
-                if prefix not in new_table:
-                    trie.set_at(prefix, None)
-            for prefix, nexthop in new_table.items():
-                trie.set_at(prefix, nexthop)
-            self._rebuild_preimages()
+            old_labels = self._install()
         finally:
             self._capture = True
             self._events.clear()
+        downloads = diff_tables(old_labels, new_labels)
         self._g_ot_size.set(float(trie.ot_size))
         self._g_at_size.set(float(trie.at_size))
         return downloads
@@ -458,26 +454,74 @@ class SmaltaState:
         """
         return len(self.snapshot(count=count))
 
-    def _rebuild_preimages(self) -> None:
-        """Recompute deaggregate preimage pointers for a fresh AT.
+    def _install(self) -> dict[Prefix, Nexthop]:
+        """Write ORTC's choices into the marked region and clear its marks.
 
-        An AT node is a deaggregate when it is not itself an OT entry and
-        its nearest strictly-enclosing OT entry carries the same nexthop
-        (Definition: a deaggregate extends a prefix of P to the right).
+        Walks the marked nodes from the root in prefix order. Each gets
+        the label pass 3 chose for it (its choice, unless that equals the
+        choice it inherits) and each missing half pass 3 labelled becomes
+        a node. Then its preimage pointer is set by the deaggregate rule:
+        an AT node that is not an OT entry points at the unrouted
+        sentinel when its label is DROP, else at its nearest enclosing OT
+        entry when that entry carries the same nexthop, else nowhere.
+        Only labels and pointers that differ are written. Returns the
+        region's old labels, in prefix order.
         """
         trie = self.trie
-        stack: list[tuple[Node, Optional[Node]]] = [(trie.root, None)]
+        root = trie.root
+        old: dict[Prefix, Nexthop] = {}
+        if not root.dirty:
+            return old
+        nil_node = trie.nil_node
+        singleton = trie.interner.singleton
+        # Pre-order frames: (node, parent's choice, inherited label,
+        # nearest enclosing OT entry).
+        stack: list[tuple[Node, Nexthop, Nexthop, Optional[Node]]] = [
+            (root, DROP, DROP, None)
+        ]
         while stack:
-            node, nearest_ot = stack.pop()
-            if node.d_a is not None and node.d_o is None:
-                if node.d_a == DROP:
-                    # Explicit null route: a deaggregate of the unrouted
-                    # context (it can have no covering OT entry).
-                    trie.set_pi(node, trie.nil_node)
-                elif nearest_ot is not None and nearest_ot.d_o == node.d_a:
-                    trie.set_pi(node, nearest_ot)
-            here = node if node.d_o is not None else nearest_ot
-            stack.extend((child, here) for child in node.children())
+            node, assigned, inherited, nearest_ot = stack.pop()
+            d_a = node.d_a
+            if d_a is not None:
+                old[node.prefix] = d_a
+            choice = node.choice
+            assert choice is not None, "pass 3 visits every marked node"
+            label = choice if choice != assigned else None
+            if d_a != label:
+                trie.set_at_node(node, label)
+                if node.parent is None and node is not root:
+                    continue  # a leaf that lost its last label was pruned
+            d_o = node.d_o
+            preimage: Optional[Node] = None
+            if label is not None and d_o is None:
+                if label == DROP:
+                    preimage = nil_node
+                elif nearest_ot is not None and nearest_ot.d_o == label:
+                    preimage = nearest_ot
+            if node.pi is not preimage:
+                trie.set_pi(node, preimage)
+            here = node if d_o is not None else nearest_ot
+            eff = d_o if d_o is not None else inherited
+            left = node.left
+            right = node.right
+            if (left is not None or right is not None) and eff != choice:
+                # Pass 3 labelled the missing half: it resolves to the
+                # inherited label, whose owner is its preimage.
+                missing_pi = nil_node if eff == DROP else here
+                for bit, child in ((0, left), (1, right)):
+                    if child is None:
+                        fresh = trie.ensure(node.prefix.child(bit))
+                        trie.set_at_node(fresh, eff)
+                        trie.set_pi(fresh, missing_pi)
+                        fresh.nhset = singleton(eff)
+                        fresh.choice = eff
+                        fresh.dirty = CLEAN
+            node.dirty = CLEAN
+            if right is not None and right.dirty:
+                stack.append((right, choice, eff, here))
+            if left is not None and left.dirty:
+                stack.append((left, choice, eff, here))
+        return old
 
     # -- introspection ------------------------------------------------------
 

@@ -15,20 +15,43 @@ its preimage node in the OT, and the reverse index ``deaggs`` used by the
 
 Nodes with no labels, no bookkeeping and no children are pruned eagerly so
 that the trie's size stays proportional to the live table sizes.
+
+The snapshot's ORTC state lives on the nodes too: ``nhset`` (the pass-2
+candidate set) and ``choice`` (the pass-3 choice) from the last run, and
+``dirty``, the mark the three writers (:meth:`FibTrie.set_ot`,
+:meth:`FibTrie.set_at_node`, :meth:`FibTrie.set_pi`) leave on what they
+change. The next snapshot redoes ORTC only on the marked region.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
+from repro.core.ortc import CLEAN, DIRTY, OT_DIRTY, SetInterner, ortc_region
 from repro.net.nexthop import DROP, Nexthop
 from repro.net.prefix import Prefix
+
+#: A node's pass-2 set before any ORTC run computed one (a real
+#: candidate set is never empty).
+NO_SET: frozenset[Nexthop] = frozenset()
 
 
 class Node:
     """One trie node; represents the prefix spelled by the root-to-node path."""
 
-    __slots__ = ("prefix", "parent", "left", "right", "d_o", "d_a", "pi", "deaggs")
+    __slots__ = (
+        "prefix",
+        "parent",
+        "left",
+        "right",
+        "d_o",
+        "d_a",
+        "pi",
+        "deaggs",
+        "nhset",
+        "choice",
+        "dirty",
+    )
 
     def __init__(self, prefix: Prefix, parent: Optional["Node"]) -> None:
         self.prefix = prefix
@@ -42,6 +65,13 @@ class Node:
         self.pi: Optional[Node] = None
         #: Reverse index of ``pi``: nodes whose preimage is this node.
         self.deaggs: Optional[set[Node]] = None
+        #: ORTC pass 2's candidate set and pass 3's choice, as of the
+        #: last run that visited this node.
+        self.nhset: frozenset[Nexthop] = NO_SET
+        self.choice: Optional[Nexthop] = None
+        #: What changed here since the last snapshot (``repro.core.ortc``
+        #: names the values); a flagged node's ancestors are flagged.
+        self.dirty = CLEAN
 
     def child(self, bit: int) -> Optional["Node"]:
         return self.right if bit else self.left
@@ -86,6 +116,8 @@ class FibTrie:
         self.nil_node = Node(Prefix.root(width), None)
         self._ot_count = 0
         self._at_count = 0
+        #: Interns the pass-2 sets the nodes keep between snapshots.
+        self.interner = SetInterner()
         #: Observer invoked as ``(prefix, old_label, new_label)`` on every
         #: d_a mutation; installed by SmaltaState to log FIB downloads.
         self.at_observer: Optional[Callable[[Prefix, Optional[Nexthop], Optional[Nexthop]], None]] = None
@@ -118,6 +150,25 @@ class FibTrie:
             node = nxt
         return node
 
+    @staticmethod
+    def _mark(node: Node, level: int = DIRTY) -> None:
+        """Record a write at ``node`` for the next snapshot.
+
+        Raises the node's mark to ``level`` and flags its ancestors up to
+        the first one already flagged. A node is flagged at most once
+        between snapshots, so marking costs O(1) amortized per write, and
+        it holds nothing: the marks are the nodes' own slots.
+        """
+        if node.dirty:
+            if node.dirty < level:
+                node.dirty = level
+            return
+        node.dirty = level
+        parent = node.parent
+        while parent is not None and not parent.dirty:
+            parent.dirty = DIRTY
+            parent = parent.parent
+
     def prune(self, node: Node) -> None:
         """Remove ``node`` and any newly-empty ancestors (root always stays)."""
         while node is not self.root and node.is_empty:
@@ -146,6 +197,7 @@ class FibTrie:
             old = node.d_o
             node.d_o = None
             self._ot_count -= 1
+            self._mark(node, OT_DIRTY)
             self.prune(node)
             return old
         node = self.ensure(prefix)
@@ -153,6 +205,8 @@ class FibTrie:
         node.d_o = nexthop
         if old is None:
             self._ot_count += 1
+        if node.dirty != OT_DIRTY:
+            self._mark(node, OT_DIRTY)
         return old
 
     # -- AT label operations -------------------------------------------
@@ -172,6 +226,8 @@ class FibTrie:
         if old == nexthop:
             return
         node.d_a = nexthop
+        if not node.dirty:
+            self._mark(node)
         if old is None:
             self._at_count += 1
         elif nexthop is None:
@@ -197,6 +253,8 @@ class FibTrie:
         old = node.pi
         if old is preimage:
             return
+        if not node.dirty:
+            self._mark(node)
         if old is not None and old.deaggs:
             old.deaggs.discard(node)
             if not old.deaggs:
@@ -321,16 +379,20 @@ class FibTrie:
         return dict(self.at_entries())
 
     def ortc_table(self) -> dict[Prefix, Nexthop]:
-        """The optimal aggregation of this trie's OT (the snapshot core).
+        """ORTC's labels for the marked region (the snapshot core).
 
-        :meth:`~repro.core.smalta.SmaltaState.snapshot` calls this; it
-        feeds ORTC straight from the trie (:func:`~repro.core.ortc.
-        ortc_from_trie`), and the result is identical to
-        ``ortc(self.ot_entries(), self.width)``.
+        :meth:`~repro.core.smalta.SmaltaState.snapshot` calls this: ORTC
+        passes 2 and 3 run on the live nodes, redone only where the
+        writers marked a change, and the result holds the region's new
+        labels. Outside the region the labels the last snapshot
+        installed stand. The marks stay until a snapshot installs the
+        labels, so a second call recomputes the same region. On a trie
+        whose every node is marked (a freshly loaded one, before
+        End-of-RIB) the result is the whole optimal table, identical to
+        ``ortc(self.ot_entries(), self.width)``; any other caller that
+        wants the whole table should use that.
         """
-        from repro.core.ortc import ortc_from_trie
-
-        return ortc_from_trie(self)
+        return ortc_region(self)
 
     @property
     def ot_size(self) -> int:

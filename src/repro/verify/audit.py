@@ -45,8 +45,9 @@ class AuditConfig:
       (None disables the per-update trigger);
     - ``on_snapshot`` — audit right after each completed snapshot;
     - ``check_optimal_after_snapshot`` — additionally assert post-ORTC
-      label minimality on the snapshot trigger (never on the per-update
-      trigger, where transient redundancy is expected);
+      label minimality and AT == ``ortc(OT)`` entry for entry on the
+      snapshot trigger (never on the per-update trigger, where transient
+      redundancy is expected);
     - ``raise_on_violation`` — raise :class:`AuditError` (the test-suite
       mode); False logs through the ``repro.verify`` logger and keeps
       forwarding (the production mode).
@@ -81,7 +82,12 @@ class AuditConfig:
 
     @classmethod
     def each_snapshot(cls, raise_on_violation: bool = True) -> "AuditConfig":
-        """Audit only after snapshots (the cheap always-on tripwire)."""
+        """Audit only after snapshots (the always-on tripwire).
+
+        Every check walks the whole table, the ``ortc(OT)`` comparison
+        included, so an audit costs far more than the incremental
+        snapshot it follows; see docs/VERIFICATION.md.
+        """
         return cls(
             on_snapshot=True,
             check_optimal_after_snapshot=True,

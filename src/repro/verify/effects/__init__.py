@@ -29,10 +29,13 @@ operation, and module-global write. Five rules consume the summaries
   closure handed to a process-pool seam (``submit``/``apply_async``/
   ``Process(target=...)``);
 - **REPRO017** ``impure-snapshot-path`` — a global write, IO, or
-  nondeterminism source reachable from ``snapshot``/``snapshot_now``/
-  ``ortc_from_trie``: a snapshot must be a pure function of the trie,
-  so a rerun, a replay, or the ``ortc()`` cross-check sees the same
-  table.
+  nondeterminism source reachable from ``snapshot``/``snapshot_now``
+  (which reach the ORTC passes and the install) or from a function
+  named ``ortc_from_trie`` (the fixture trees keep that root): a
+  snapshot must be a pure function of the trie, so a rerun, a replay,
+  or the ``ortc()`` cross-check sees the same table. The state the
+  incremental snapshot keeps lives on the trie's nodes, never in a
+  module.
 
 The rules run through ``python -m repro.verify`` with the other
 layers. See ``docs/VERIFICATION.md`` for the effect lattice and the

@@ -18,7 +18,7 @@ Two entry points:
 - :func:`audit_state` — the above plus the semantic checks on a
   :class:`~repro.core.smalta.SmaltaState`: AT ≡ OT (the TaCo check the
   paper cites) and, optionally, OT == a caller-supplied reference table
-  and post-snapshot label minimality.
+  and, right after a snapshot, label minimality and AT == ``ortc(OT)``.
 
 The full catalogue, with paper-section references, is documented in
 ``docs/VERIFICATION.md``.
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from repro.core.equivalence import equivalence_counterexample
+from repro.core.ortc import ortc
 from repro.core.trie import FibTrie, Node
 from repro.net.nexthop import DROP, Nexthop
 from repro.net.prefix import Prefix
@@ -74,6 +75,9 @@ class InvariantCode(enum.Enum):
     #: Post-snapshot only: an AT label equals the value its nearest
     #: labeled AT ancestor already propagates (ORTC never emits these).
     AT_REDUNDANT = "at-redundant"
+    #: Post-snapshot only: an AT entry differs from the entry-stream
+    #: ``ortc()`` of the OT (a region the incremental snapshot missed).
+    AT_NOT_ORTC = "at-not-ortc"
     #: The Original Tree differs from the caller's reference table.
     OT_MISMATCH = "ot-mismatch"
     #: The Aggregated Tree is not semantically equivalent to the OT
@@ -368,12 +372,36 @@ def _check_minimality(trie: FibTrie, out: list[Violation]) -> None:
             )
 
 
+def _check_ortc(trie: FibTrie, out: list[Violation]) -> None:
+    """Post-snapshot check: the AT is ORTC of the OT, entry for entry.
+
+    The snapshot redoes ORTC only on the region the trie's writers
+    marked; the entry-stream :func:`~repro.core.ortc.ortc` shares no
+    state with it, so a change that reached the trie unmarked shows here
+    as a stale entry.
+    """
+    have = trie.at_table()
+    want = ortc(trie.ot_entries(), trie.width)
+    for prefix in sorted(have.keys() | want.keys()):
+        got = have.get(prefix)
+        expected = want.get(prefix)
+        if got != expected:
+            out.append(
+                Violation(
+                    InvariantCode.AT_NOT_ORTC,
+                    prefix,
+                    f"AT has {got}, ORTC of the OT has {expected}",
+                )
+            )
+
+
 def audit_trie(trie: FibTrie, optimal: bool = False) -> list[Violation]:
     """Audit the structural invariants of one OT/AT union trie.
 
     With ``optimal=True`` (valid only immediately after a snapshot) the
-    label-minimality check is included. Returns all violations found;
-    an empty list means the trie is healthy.
+    label-minimality check and the AT == ``ortc(OT)`` check are
+    included. Returns all violations found; an empty list means the
+    trie is healthy.
     """
     out: list[Violation] = []
     _check_structure(trie, out)
@@ -382,6 +410,7 @@ def audit_trie(trie: FibTrie, optimal: bool = False) -> list[Violation]:
     _check_ot_coverage(trie, out)
     if optimal:
         _check_minimality(trie, out)
+        _check_ortc(trie, out)
     return out
 
 

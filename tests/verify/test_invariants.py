@@ -185,6 +185,26 @@ def test_redundant_at_label_post_snapshot_only():
     assert InvariantCode.AT_REDUNDANT not in codes_of(audit_trie(trie))
 
 
+def test_stale_region_detected_after_snapshot():
+    """A label written around the trie's writers leaves no mark, so the
+    next snapshot does not redo its region; the post-snapshot audit
+    compares the AT with the scratch ORTC and catches it."""
+    state = healthy_state()
+    trie = state.trie
+    node = next(
+        n for n in trie.iter_nodes() if n.d_a is not None and n.d_a != C
+    )
+    node.d_a = C  # raw write: set_at_node would mark the node
+    assert state.snapshot() == []  # nothing marked, nothing redone
+    violations = audit_trie(trie, optimal=True)
+    assert InvariantCode.AT_NOT_ORTC in codes_of(violations)
+    assert node.prefix in {
+        v.prefix for v in violations if v.code is InvariantCode.AT_NOT_ORTC
+    }
+    # Only the post-snapshot audit compares against ORTC.
+    assert InvariantCode.AT_NOT_ORTC not in codes_of(audit_trie(trie))
+
+
 def test_semantic_divergence_detected():
     state = healthy_state()
     state.trie.set_at(p("00000000"), C)  # OT routes this address to A
