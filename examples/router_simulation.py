@@ -5,7 +5,8 @@ selection into zebra, where the SMALTA layer intercepts the kernel
 downloads. The CLI toggles aggregation at runtime, exactly like the
 paper's Quagga port. The run is self-checking: the invariant auditor
 (see docs/VERIFICATION.md) re-verifies the SMALTA state every 1000
-updates and after every snapshot, raising immediately on corruption.
+updates and after every snapshot, raising immediately on corruption,
+and the script exits 1 if the kernel ever forwards unlike the RIB.
 
 Run:  python examples/router_simulation.py
 """
@@ -21,7 +22,7 @@ from repro.verify import AuditConfig
 from repro.workloads.synthetic_table import generate_table
 
 
-def main() -> None:
+def main() -> int:
     rng = random.Random(5)
     registry = NexthopRegistry()
     peers = registry.create_many(3, prefix="peer-")
@@ -56,13 +57,15 @@ def main() -> None:
     print()
     print(cli.execute("show smalta status"))
     print(cli.execute("show fib summary"))
-    print(f"kernel forwards exactly like the RIB: {pipeline.kernel_matches_rib()}")
+    checks = [pipeline.kernel_matches_rib()]
+    print(f"kernel forwards exactly like the RIB: {checks[-1]}")
 
     # Some live routing activity: a peer session flaps.
     print("\n--- dropping peer-0 (session loss) ---")
     pipeline.drop_peer(peers[0])
     print(cli.execute("show fib summary"))
-    print(f"kernel still correct: {pipeline.kernel_matches_rib()}")
+    checks.append(pipeline.kernel_matches_rib())
+    print(f"kernel still correct: {checks[-1]}")
 
     # Runtime de-aggregation and re-aggregation through the CLI.
     print("\n--- CLI: smalta disable / enable ---")
@@ -71,6 +74,8 @@ def main() -> None:
     print(cli.execute("smalta enable"))
     print(cli.execute("show fib summary"))
     print(cli.execute("smalta snapshot"))
+    checks.append(pipeline.kernel_matches_rib())
+    print(f"kernel correct after the CLI round trip: {checks[-1]}")
 
     stats = pipeline.stats
     manager = pipeline.zebra.manager
@@ -80,7 +85,8 @@ def main() -> None:
         f"(mean stall {stats.mean_delay_s * 1000:.1f} ms)"
     )
     print(f"inline audits run: {manager.audits_run} (all clean)")
+    return 0 if all(checks) else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

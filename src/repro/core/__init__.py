@@ -14,7 +14,6 @@ Public surface:
 from repro.core.advisor import Advice, advise, calibrate
 from repro.core.downloads import DownloadKind, DownloadLog, FibDownload
 from repro.core.equivalence import (
-    check_invariants,
     divergent_regions,
     equivalence_counterexample,
     semantically_equivalent,
@@ -52,7 +51,6 @@ __all__ = [
     "SmaltaState",
     "SnapshotPolicy",
     "WallClockPolicy",
-    "check_invariants",
     "divergent_regions",
     "equivalence_counterexample",
     "optimal_table_size",

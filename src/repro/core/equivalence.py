@@ -17,13 +17,10 @@ O(total entries), not O(address space).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.net.nexthop import DROP, Nexthop
 from repro.net.prefix import Prefix
-
-if TYPE_CHECKING:
-    from repro.core.trie import FibTrie
 
 
 class _ENode:
@@ -287,21 +284,3 @@ def jointly_equivalent(
 ) -> bool:
     """True when every agreement group forwards alike everywhere."""
     return len(joint_divergences(tables, width, groups, limit=1)) == 0
-
-
-# -- SMALTA structural invariants (Section 3.3) ------------------------
-#
-# The invariant checks grew into a subsystem of their own and live in
-# :mod:`repro.verify.invariants` (structured Violation records, the full
-# catalogue in docs/VERIFICATION.md). This wrapper keeps the historical
-# string-based surface.
-
-
-def check_invariants(trie: "FibTrie") -> list[str]:
-    """All structural-invariant violations (empty list when healthy).
-
-    Deprecated shim over :func:`repro.verify.invariants.audit_trie`.
-    """
-    from repro.verify.invariants import audit_trie
-
-    return [str(violation) for violation in audit_trie(trie)]

@@ -203,7 +203,7 @@ class _PackedTable:
         """Write ``(value, length)`` into every slot of ``[lo, hi)`` whose
         controlling prefix is no longer than ``limit`` bits, descending
         into child blocks behind repainted slots (explicit stack:
-        REPRO004 bans recursion, and IPv6 has 15 levels anyway)."""
+        REPRO007 bans recursion, and IPv6 has 15 levels anyway)."""
         stack = [(level, lo, hi)]
         while stack:
             lvl, start, stop = stack.pop()

@@ -38,6 +38,18 @@ from repro.obs.observability import Observability
 from repro.verify.markers import must_consume
 
 
+def _width_mismatch(prefix: Prefix, width: int) -> ValueError:
+    """The error for a prefix of another address width than the trie's.
+
+    Checked before the first trie write: a narrower prefix would land
+    misrouted (width-6 ``101/3`` as ``0.0.0.0/3`` in a width-32 trie),
+    and a wider one would fail mid-walk with part of a burst applied.
+    """
+    return ValueError(
+        f"{prefix} is {prefix.width} bits wide; this table is {width}"
+    )
+
+
 class SmaltaState:
     """OT + AT with incremental aggregation, the paper's core machinery."""
 
@@ -187,11 +199,15 @@ class SmaltaState:
         """OT-only insert (router startup before End-of-RIB, Section 2)."""
         if nexthop == DROP:
             raise ValueError("the Original Tree never holds DROP entries")
+        if prefix.width != self.trie.width:
+            raise _width_mismatch(prefix, self.trie.width)
         self.trie.set_ot(prefix, nexthop)
 
     @must_consume
     def insert(self, prefix: Prefix, nexthop: Nexthop) -> list[FibDownload]:
         """Algorithm 1 — Insert(N, Q): add or change a prefix's nexthop."""
+        if prefix.width != self.trie.width:
+            raise _width_mismatch(prefix, self.trie.width)
         self._insert(prefix, nexthop)
         return self._drain_downloads()
 
@@ -258,6 +274,8 @@ class SmaltaState:
     @must_consume
     def delete(self, prefix: Prefix) -> list[FibDownload]:
         """Algorithm 2 — Delete(N): remove a prefix (requires d_O(N) ≠ ε)."""
+        if prefix.width != self.trie.width:
+            raise _width_mismatch(prefix, self.trie.width)
         self._delete(prefix)
         return self._drain_downloads()
 
@@ -357,7 +375,10 @@ class SmaltaState:
         """
         net: dict[Prefix, Optional[Nexthop]] = {}
         total_ops = 0
+        width = self.trie.width
         for prefix, nexthop in ops:
+            if prefix.width != width:
+                raise _width_mismatch(prefix, width)
             net[prefix] = nexthop
             total_ops += 1
         skipped = 0

@@ -34,6 +34,7 @@ from repro.daemon import protocol
 from repro.daemon.tenant import Clock, Tenant, TenantConfig
 from repro.net.nexthop import Nexthop
 from repro.net.prefix import Prefix
+from repro.net.update import RouteUpdate
 from repro.obs.export import render_prometheus
 from repro.obs.observability import Observability
 
@@ -357,7 +358,18 @@ class AggregationDaemon:
         raw_updates = args.get("updates")
         if not isinstance(raw_updates, list):
             raise DaemonError("feed requires an 'updates' list")
-        updates = [protocol.decode_update(raw) for raw in raw_updates]
+        # A prefix of another width would land misrouted (narrower) or
+        # half-apply a burst (wider), so the whole frame is refused.
+        width = tenant.config.width
+        updates: list[RouteUpdate] = []
+        for raw in raw_updates:
+            update = protocol.decode_update(raw)
+            if update.prefix.width != width:
+                raise DaemonError(
+                    f"update for {update.prefix} is {update.prefix.width} bits "
+                    f"wide; tenant {tenant.name!r} is {width}"
+                )
+            updates.append(update)
         as_burst = args.get("burst", False)
         if not isinstance(as_burst, bool):
             raise DaemonError("'burst' must be a boolean")

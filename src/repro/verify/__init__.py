@@ -21,32 +21,32 @@ Four check the source, as one analyzer with one rule registry
 (:mod:`repro.verify.engine`, REPRO001–REPRO023) and one command line,
 ``python -m repro.verify``:
 
-- :mod:`repro.verify.lint` — per-file AST rules REPRO001–REPRO006
-  that keep the hot paths safe to refactor (``__slots__`` on node
-  classes, no trie-bookkeeping writes outside ``core/``, no wall-clock
-  reads in algorithm code, no recursion in trie walkers, annotations on
+- :mod:`repro.verify.lint` — per-file AST rules REPRO001–REPRO003,
+  REPRO005 and REPRO006 that keep the hot paths safe to refactor
+  (``__slots__`` on node classes, no trie-bookkeeping writes outside
+  ``core/``, no wall-clock reads in algorithm code, annotations on
   public functions, no truthiness tests on ``__len__``-bearing
   objects);
 - :mod:`repro.verify.flow` — a repo-wide call graph plus per-function
   CFG dataflow, running interprocedural rules REPRO007–REPRO012
-  (recursion cycles, dropped ``@must_consume`` deltas, mutation during
-  live traversals, typestate protocols, swallowed failures,
-  metric-catalog drift). REPRO004 is the single-function fast-path
-  alias of REPRO007;
+  (recursion, dropped ``@must_consume`` deltas, mutation during live
+  traversals, typestate protocols, swallowed failures, metric-catalog
+  drift);
 - :mod:`repro.verify.effects` — bottom-up interprocedural effect/purity
-  inference over the same call graph, running rules REPRO013–REPRO017
-  (blocking-in-async, determinism-seam bypass, shard-escape,
-  un-picklable captures, impure snapshot paths);
+  inference over the same call graph, running rules REPRO013–REPRO015
+  and REPRO017 (blocking-in-async, determinism-seam bypass,
+  tenant-escape, impure snapshot paths);
 - :mod:`repro.verify.interleave` — await-segment and task-lifecycle
   models of the daemon's ``async def`` code, running rules
   REPRO018–REPRO023 (torn invariants, fire-and-forget tasks, unawaited
   coroutines, blocking while a lock is held, cancellation safety,
   cross-task aliasing).
 
-The four static layers share a single parse pass, one
-:class:`~repro.verify.findings.Finding` type with its inline
-suppressions, and a content-hash incremental cache
-(``.repro-cache/``).
+The four static layers share a single parse pass, one model of each
+scope (:class:`~repro.verify.flow.project.Scope`: its nodes and type
+environment, built once), one :class:`~repro.verify.findings.Finding`
+type with its inline suppressions, and a content-hash incremental
+cache (``.repro-cache/``).
 
 See ``docs/VERIFICATION.md`` for the full invariant and rule catalogue.
 """

@@ -32,9 +32,10 @@ import pickle
 from pathlib import Path
 from typing import Optional
 
-#: Bump whenever the shape of any cached artifact changes; the version
-#: participates in every content digest, so stale formats simply miss.
-CACHE_VERSION = 2
+#: Bump whenever the shape or the meaning of any cached artifact
+#: changes; the version participates in every content digest, so stale
+#: entries simply miss.
+CACHE_VERSION = 3
 
 #: Directory name of the cache at the repo root.
 CACHE_DIR_NAME = ".repro-cache"

@@ -33,7 +33,7 @@ from repro.verify.findings import Finding, relativize
 from repro.verify.flow.callgraph import CallGraph
 from repro.verify.flow.project import Project
 from repro.verify.interleave.model import FuncModel, build_models
-from repro.verify.lint import lint_sources
+from repro.verify.lint import collect_len_classes, lint_sources
 
 
 @dataclass
@@ -90,7 +90,8 @@ class RuleContext:
     @cached_property
     def lint_findings(self) -> list[Finding]:
         """Every per-file lint finding (REPRO001-006), unsuppressed."""
-        return lint_sources(self.sources, self.root, self.cache)
+        len_classes = collect_len_classes(self.project.modules.values())
+        return lint_sources(self.sources, self.root, len_classes, self.cache)
 
     @cached_property
     def effects(self) -> EffectIndex:

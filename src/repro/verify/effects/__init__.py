@@ -12,28 +12,23 @@ project symbol table and call graph, extended with a bottom-up
 interprocedural **effect inference** (:mod:`~repro.verify.effects.infer`)
 that summarizes, per function and propagated over the SCCs of the call
 graph, every blocking call, raw clock read, unseeded RNG use, IO
-operation, and module-global write. Five rules consume the summaries
+operation, and module-global write. Four rules consume the summaries
 (:mod:`~repro.verify.effects.rules`):
 
 - **REPRO013** ``blocking-in-async`` — a blocking call (``time.sleep``,
   file IO, subprocess, sockets) reachable from an ``async def``;
 - **REPRO014** ``seam-bypass`` — a direct clock read or unseeded RNG
   use outside ``repro.faults`` and the blessed ``rng: random.Random``
-  parameter idiom (REPRO003 in the lint layer is its wall-clock-only
-  fast-path alias);
-- **REPRO015** ``shard-escape`` — module-level mutable state written
-  from code reachable by more than one entry point that may run
-  concurrently (``SmaltaManager`` public methods, ``@shard_entry``
-  functions), which would couple the daemon's tenants;
-- **REPRO016** ``unpicklable-capture`` — a lambda or locally-defined
-  closure handed to a process-pool seam (``submit``/``apply_async``/
-  ``Process(target=...)``);
+  parameter idiom;
+- **REPRO015** ``tenant-escape`` — module-level mutable state written
+  from more than one tenant entry point (``SmaltaManager``'s public
+  methods, which each daemon tenant calls), which would couple the
+  daemon's tenants;
 - **REPRO017** ``impure-snapshot-path`` — a global write, IO, or
   nondeterminism source reachable from ``snapshot``/``snapshot_now``
-  (which reach the ORTC passes and the install) or from a function
-  named ``ortc_from_trie`` (the fixture trees keep that root): a
-  snapshot must be a pure function of the trie, so a rerun, a replay,
-  or the ``ortc()`` cross-check sees the same table. The state the
+  or ``ortc_table`` (the ORTC passes the snapshot runs): a snapshot
+  must be a pure function of the trie, so a rerun, a replay, or the
+  ``ortc()`` cross-check sees the same table. The state the
   incremental snapshot keeps lives on the trie's nodes, never in a
   module.
 

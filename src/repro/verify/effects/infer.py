@@ -113,12 +113,10 @@ def infer_effects(
         for func in project.iter_functions():
             if func.module != name:
                 continue
-            sites = direct_effects(
-                module, func.node.body, func.node.args, idx.bindings
-            )
+            sites = direct_effects(func.scope, idx.bindings)
             per_function[func.qualname] = sites
             idx.direct[func.qualname] = sites
-        top_sites = direct_effects(module, module.tree.body, None, idx.bindings)
+        top_sites = direct_effects(module.scope, idx.bindings)
         idx.module_direct[name] = top_sites
         if cache is not None and key:
             cache.store(

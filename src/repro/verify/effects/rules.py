@@ -1,4 +1,4 @@
-"""The concurrency-readiness rule set, REPRO013 through REPRO017.
+"""The concurrency-readiness rule set: REPRO013-015 and REPRO017.
 
 Same contract as the flow rules (:mod:`repro.verify.flow.rules`): each
 rule is a plain function from :class:`~repro.verify.context.RuleContext`
@@ -11,36 +11,26 @@ How to add a rule: see "Adding a rule" in ``docs/VERIFICATION.md``.
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
-from typing import Optional
 
 from repro.verify.config import package_parts
 from repro.verify.context import RuleContext, RuleSpec
 from repro.verify.effects.infer import is_async
 from repro.verify.effects.summary import EffectSite
 from repro.verify.findings import Finding
-from repro.verify.flow.callgraph import walk_scope
-from repro.verify.flow.project import FunctionInfo, annotation_name
+from repro.verify.flow.project import FunctionInfo
 
 #: Packages (under ``repro/``) that *are* the determinism seams — raw
 #: clock/RNG use inside them is the implementation of the seam itself.
 BLESSED_SEAM_PACKAGES = frozenset({"faults"})
 
-#: Classes whose public methods are (current or future) shard entry
-#: points: concurrent shards will call into them independently.
-SHARD_ENTRY_CLASSES = frozenset({"SmaltaManager"})
+#: Classes whose public methods are tenant entry points: each daemon
+#: tenant calls into its own instance, interleaved on one event loop.
+TENANT_ENTRY_CLASSES = frozenset({"SmaltaManager"})
 
-#: Decorator name that marks a function as an additional entry point.
-SHARD_ENTRY_DECORATOR = "shard_entry"
-
-#: Functions that must stay pure for per-process sharded snapshots.
-SNAPSHOT_ROOT_NAMES = frozenset({"snapshot", "snapshot_now", "ortc_from_trie"})
-
-#: Attribute calls that hand work to a pickling executor seam.
-EXECUTOR_SUBMIT_ATTRS = frozenset(
-    {"submit", "apply_async", "map_async", "starmap", "starmap_async"}
-)
+#: Functions that must stay pure so that a snapshot is a function of
+#: the trie alone: the snapshot entry points and the ORTC table they run.
+SNAPSHOT_ROOT_NAMES = frozenset({"snapshot", "snapshot_now", "ortc_table"})
 
 #: Effect kinds that break snapshot purity (REPRO017).
 IMPURE_KINDS = ("global-write", "io", "rng", "clock")
@@ -130,27 +120,23 @@ def _rule_seam_bypass(ctx: RuleContext) -> list[Finding]:
     return findings
 
 
-# -- REPRO015: shard-escaping module state ------------------------------
+# -- REPRO015: module state shared between tenants ---------------------
 
 
-def _shard_entry_points(ctx: RuleContext) -> list[FunctionInfo]:
+def _tenant_entry_points(ctx: RuleContext) -> list[FunctionInfo]:
     entries: list[FunctionInfo] = []
     for cls_qual in sorted(ctx.project.classes):
         info = ctx.project.classes[cls_qual]
-        if info.name not in SHARD_ENTRY_CLASSES:
+        if info.name not in TENANT_ENTRY_CLASSES:
             continue
         for method_name in sorted(info.methods):
             if not method_name.startswith("_"):
                 entries.append(info.methods[method_name])
-    for qualname in sorted(ctx.project.functions):
-        func = ctx.project.functions[qualname]
-        if SHARD_ENTRY_DECORATOR in func.decorators:
-            entries.append(func)
     return entries
 
 
-def _rule_shard_escape(ctx: RuleContext) -> list[Finding]:
-    entries = _shard_entry_points(ctx)
+def _rule_tenant_escape(ctx: RuleContext) -> list[Finding]:
+    entries = _tenant_entry_points(ctx)
     #: global qualname -> entry qualname -> (chain, site)
     writers: dict[str, dict[str, tuple[tuple[str, ...], EffectSite]]] = {}
     for entry in entries:
@@ -162,7 +148,7 @@ def _rule_shard_escape(ctx: RuleContext) -> list[Finding]:
     for detail in sorted(writers):
         by_entry = writers[detail]
         if len(by_entry) < 2:
-            continue  # single-entry state still belongs to one shard
+            continue  # written through one entry point only
         module_name, bare = detail.rsplit(".", 1)
         binding = ctx.effects.bindings.get(module_name, {}).get(bare)
         module = ctx.project.modules.get(module_name)
@@ -179,105 +165,11 @@ def _rule_shard_escape(ctx: RuleContext) -> list[Finding]:
                 binding.lineno,
                 detail,
                 f"module-level mutable {detail} is written from "
-                f"{len(by_entry)} shard entry points ({sample}); shared "
-                "state escapes the shard boundary — move it onto the "
-                "manager/shard object or guard it behind an explicit "
-                "cross-shard service",
+                f"{len(by_entry)} tenant entry points ({sample}); the "
+                "daemon's tenants share one process, so this state couples "
+                "them — move it onto the manager",
             )
         )
-    return findings
-
-
-# -- REPRO016: un-picklable captures at executor seams ------------------
-
-
-def _local_function_names(body: Sequence[ast.stmt]) -> frozenset[str]:
-    """Names bound to nested defs or lambdas inside this scope."""
-    names: set[str] = set()
-    for node in walk_scope(body):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names.add(node.name)
-        elif (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Lambda)
-        ):
-            names.add(node.targets[0].id)
-    return frozenset(names)
-
-
-def _receiver_hint(expr: ast.expr) -> str:
-    parts: list[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts)).lower()
-
-
-def _submitted_callable(call: ast.Call) -> Optional[ast.expr]:
-    """The callable argument of an executor-seam call, if present."""
-    if len(call.args) > 0:
-        return call.args[0]
-    for keyword in call.keywords:
-        if keyword.arg in ("func", "fn", "target"):
-            return keyword.value
-    return None
-
-
-def _rule_unpicklable_capture(ctx: RuleContext) -> list[Finding]:
-    findings: list[Finding] = []
-    for qualname in sorted(ctx.project.functions):
-        func = ctx.project.functions[qualname]
-        local_funcs = _local_function_names(func.node.body)
-        for node in walk_scope(func.node.body):
-            if not isinstance(node, ast.Call):
-                continue
-            seam: Optional[str] = None
-            target: Optional[ast.expr] = None
-            if isinstance(node.func, ast.Attribute):
-                attr = node.func.attr
-                hint = _receiver_hint(node.func.value)
-                pool_like = any(
-                    word in hint for word in ("pool", "executor", "proc")
-                )
-                if "thread" in hint:
-                    continue  # thread seams never pickle the callable
-                if attr in EXECUTOR_SUBMIT_ATTRS or (attr == "map" and pool_like):
-                    if attr in ("submit", "map") and not pool_like:
-                        continue
-                    seam = f"{hint or '<receiver>'}.{attr}()"
-                    target = _submitted_callable(node)
-            if seam is None:
-                cls_name = annotation_name(node.func)
-                if cls_name == "Process":
-                    seam = "Process(target=...)"
-                    for keyword in node.keywords:
-                        if keyword.arg == "target":
-                            target = keyword.value
-            if seam is None or target is None:
-                continue
-            reason: Optional[str] = None
-            if isinstance(target, ast.Lambda):
-                reason = "a lambda"
-            elif isinstance(target, ast.Name) and target.id in local_funcs:
-                reason = f"locally-defined function {target.id!r}"
-            if reason is None:
-                continue
-            findings.append(
-                Finding(
-                    "REPRO016",
-                    ctx.rel(func.path),
-                    node.lineno,
-                    qualname,
-                    f"{reason} is handed to {seam}; process-pool seams "
-                    "pickle their callable, and locals/lambdas cannot be "
-                    "pickled — pass a module-level function instead",
-                )
-            )
     return findings
 
 
@@ -316,9 +208,10 @@ def _rule_impure_snapshot(ctx: RuleContext) -> list[Finding]:
                     anchor,
                     root_func.qualname,
                     f"snapshot-path function {root_func.qualname} reaches "
-                    f"impure {detail} ({kind}) {route}; sharded "
-                    "per-process snapshots require the snapshot path to "
-                    "be pure (writes confined to the manager's own state)",
+                    f"impure {detail} ({kind}) {route}; a snapshot must be "
+                    "a pure function of the trie, so that a rerun or a "
+                    "replay yields the same table (writes confined to the "
+                    "manager's own state)",
                 )
             )
     return findings
@@ -339,28 +232,21 @@ SPECS: tuple[RuleSpec, ...] = (
         "REPRO014",
         "seam-bypass",
         "raw clock read or unseeded RNG outside the repro.faults seams "
-        "and the seeded rng-parameter idiom (REPRO003 is its "
-        "wall-clock-only fast-path alias)",
+        "and the seeded rng-parameter idiom",
         _rule_seam_bypass,
     ),
     RuleSpec(
         "REPRO015",
-        "shard-escape",
-        "module-level mutable state written from more than one shard "
+        "tenant-escape",
+        "module-level mutable state written from more than one tenant "
         "entry point",
-        _rule_shard_escape,
-    ),
-    RuleSpec(
-        "REPRO016",
-        "unpicklable-capture",
-        "lambda or local closure handed to a pickling executor seam",
-        _rule_unpicklable_capture,
+        _rule_tenant_escape,
     ),
     RuleSpec(
         "REPRO017",
         "impure-snapshot-path",
         "global write, IO, or nondeterminism reachable from the "
-        "snapshot path, which sharding requires to be pure",
+        "snapshot path, which must be a pure function of the trie",
         _rule_impure_snapshot,
     ),
 )

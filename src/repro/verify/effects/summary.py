@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.verify.flow.callgraph import MUTATING_METHODS, walk_scope
-from repro.verify.flow.project import ModuleInfo
+from repro.verify.flow.callgraph import MUTATING_METHODS
+from repro.verify.flow.project import ModuleInfo, Scope, local_names
 
 #: Effect kinds, in severity/report order.
 KINDS: tuple[str, ...] = ("blocking", "clock", "rng", "io", "global-write")
@@ -116,7 +116,7 @@ class EffectSite:
 
 @dataclass(frozen=True)
 class GlobalBinding:
-    """One module-level name binding (the shard-escape rule's subject)."""
+    """One module-level name binding (the tenant-escape rule's subject)."""
 
     module: str
     name: str
@@ -170,42 +170,6 @@ def _is_mutable_value(value: Optional[ast.expr]) -> bool:
     return False
 
 
-def _scope_locals(
-    body: Sequence[ast.stmt], args: Optional[ast.arguments]
-) -> tuple[frozenset[str], frozenset[str]]:
-    """``(local names, global-declared names)`` of one scope.
-
-    Locals shadow module-level matches: a parameter called ``random``
-    or a local ``time = ...`` must suppress the module tables. Names
-    declared ``global`` are excluded from the locals so assignments to
-    them register as global writes.
-    """
-    declared_global: set[str] = set()
-    local: set[str] = set()
-    if args is not None:
-        for arg in (
-            args.posonlyargs
-            + args.args
-            + args.kwonlyargs
-            + [a for a in (args.vararg, args.kwarg) if a is not None]
-        ):
-            local.add(arg.arg)
-    for node in walk_scope(body):
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-        elif isinstance(node, ast.Name) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            local.add(node.id)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            local.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                if alias.name != "*":
-                    local.add(alias.asname or alias.name.split(".")[0])
-    return frozenset(local - declared_global), frozenset(declared_global)
-
-
 def _qualifier_name(func: ast.expr) -> Optional[tuple[str, str]]:
     """``(qualifier, attribute)`` of an attribute call target, if simple."""
     if not isinstance(func, ast.Attribute):
@@ -241,23 +205,23 @@ def _global_target(
 
 
 def direct_effects(
-    module: ModuleInfo,
-    body: Sequence[ast.stmt],
-    args: Optional[ast.arguments],
-    bindings: dict[str, dict[str, GlobalBinding]],
+    scope: Scope, bindings: dict[str, dict[str, GlobalBinding]]
 ) -> tuple[EffectSite, ...]:
     """Every direct effect site in one scope (function or module body).
 
     Nested defs/lambdas are scopes of their own (``walk_scope``); their
     effects are attributed to them, not to the enclosing scope.
     """
-    locals_, declared_global = _scope_locals(body, args)
+    module = scope.module
+    # Locals shadow the module tables (a parameter called ``random``, a
+    # local ``time = ...``); names declared ``global`` stay global writes.
+    locals_, declared_global = local_names(scope.nodes, scope.args)
     sites: list[EffectSite] = []
 
     def emit(kind: str, detail: str, lineno: int) -> None:
         sites.append(EffectSite(kind, detail, lineno))
 
-    for node in walk_scope(body):
+    for node in scope.nodes:
         if isinstance(node, ast.Call):
             _call_effects(node, module, locals_, bindings, emit)
             continue

@@ -1,9 +1,9 @@
 """The analyzer engine: the one rule registry and :func:`analyze`.
 
-:data:`RULES` holds every code, REPRO001-023: the per-file lint rules
-(REPRO001-006, below) and the whole-program rules of the flow
-(REPRO007-012), effects (REPRO013-017), and interleave (REPRO018-023)
-modules. :func:`analyze` reads and parses each file once, builds one
+:data:`RULES` holds every code: the per-file lint rules (below) and the
+whole-program rules of the flow (REPRO007-012), effects (REPRO013-017),
+and interleave (REPRO018-023) modules. A retired rule's code is never
+reassigned. :func:`analyze` reads and parses each file once, builds one
 project symbol table and one call graph, runs the selected rules over
 one :class:`~repro.verify.context.RuleContext`, applies the inline
 suppressions once, and sorts once.
@@ -49,13 +49,6 @@ LINT_SPECS: tuple[RuleSpec, ...] = (
         "wall-clock-call",
         "wall-clock read in library code (inject a clock instead)",
         _lint_rule("REPRO003"),
-    ),
-    RuleSpec(
-        "REPRO004",
-        "recursive-walker",
-        "self-recursive walker (use an explicit stack); fast-path alias "
-        "of flow rule REPRO007, which also catches mutual recursion",
-        _lint_rule("REPRO004"),
     ),
     RuleSpec(
         "REPRO005",

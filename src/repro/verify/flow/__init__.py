@@ -10,8 +10,8 @@ intraprocedural dataflow framework (:mod:`~repro.verify.flow.dataflow`)
 — and runs six interprocedural rules on top
 (:mod:`~repro.verify.flow.rules`):
 
-- **REPRO007** call-graph recursion cycles (supersedes the lint pass's
-  self-recursion-only REPRO004, which remains as its fast-path alias);
+- **REPRO007** recursion: call-graph cycles, plus nested defs and
+  lambdas that re-enter an enclosing def (resolved lexically);
 - **REPRO008** dropped ``@must_consume`` results — FIB deltas that
   reach function exit unconsumed;
 - **REPRO009** trie mutation while a lazy traversal of the same

@@ -1,12 +1,12 @@
 """Repo-wide call graph with heuristic method resolution.
 
-Resolution works from a per-scope *type environment*: parameter
-annotations, constructor assignments (``x = SmaltaState(...)``),
-``self`` bound to the enclosing class, and aliases of typed ``self``
-attributes (``trie = self.trie``). A call that cannot be pinned to a
-project function produces no edge — the graph under-approximates, so
-the recursion rule (REPRO007) only reports cycles it can actually
-name.
+Resolution works from each scope's *type environment*
+(:class:`~repro.verify.flow.project.Scope`): parameter annotations,
+constructor assignments (``x = SmaltaState(...)``), ``self`` bound to
+the enclosing class, and aliases of typed ``self`` attributes
+(``trie = self.trie``). A call that cannot be pinned to a project
+function produces no edge — the graph under-approximates, so the
+recursion rule (REPRO007) only reports cycles it can actually name.
 
 The builder also computes a transitive *self-mutator* summary (which
 methods mutate their receiver, directly or via ``self`` calls); rule
@@ -19,12 +19,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.verify.flow.project import (
-    FunctionInfo,
-    ModuleInfo,
-    Project,
-    annotation_name,
-)
+from repro.verify.flow.project import FunctionInfo, ModuleInfo, Project
 
 
 @dataclass(frozen=True)
@@ -37,117 +32,6 @@ class CallSite:
     via_self: bool  #: the receiver expression was literally ``self``
 
 
-def walk_scope(body: Sequence[ast.stmt]) -> list[ast.AST]:
-    """Every node under ``body`` without descending into nested defs.
-
-    Class bodies, nested functions, and lambdas are *scopes of their
-    own* — their statements must not be attributed to the enclosing
-    scope by the per-scope rules. The top-level def/lambda nodes
-    themselves are included (so decorators and defaults are visible);
-    only their bodies are skipped.
-    """
-    result: list[ast.AST] = []
-    stack: list[ast.AST] = list(reversed(list(body)))
-    while stack:
-        node = stack.pop()
-        result.append(node)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            stack.extend(reversed(node.decorator_list))
-            continue
-        if isinstance(node, ast.Lambda):
-            continue
-        stack.extend(reversed(list(ast.iter_child_nodes(node))))
-    return result
-
-
-def build_type_env(
-    project: Project,
-    module: ModuleInfo,
-    body: Sequence[ast.stmt],
-    cls_qual: Optional[str] = None,
-    args: Optional[ast.arguments] = None,
-) -> dict[str, str]:
-    """Local name -> project-class qualname, flow-insensitively.
-
-    First binding wins; a later re-assignment to an unknown type does
-    not untrack the name (acceptable for the heuristic rules, which all
-    err toward silence on ambiguity).
-    """
-    env: dict[str, str] = {}
-    if cls_qual is not None:
-        env["self"] = cls_qual
-    if args is not None:
-        for arg in args.posonlyargs + args.args + args.kwonlyargs:
-            name = annotation_name(arg.annotation)
-            if name is None:
-                continue
-            resolved = project.resolve_class_name(module, name)
-            if resolved is not None:
-                env.setdefault(arg.arg, resolved)
-    for node in walk_scope(body):
-        target: Optional[ast.expr] = None
-        value: Optional[ast.expr] = None
-        annotation: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign):
-            target, value, annotation = node.target, node.value, node.annotation
-        else:
-            continue
-        if not isinstance(target, ast.Name):
-            continue
-        resolved = _rhs_class(project, module, env, value, annotation)
-        if resolved is not None:
-            env.setdefault(target.id, resolved)
-    return env
-
-
-def _rhs_class(
-    project: Project,
-    module: ModuleInfo,
-    env: dict[str, str],
-    value: Optional[ast.expr],
-    annotation: Optional[ast.expr],
-) -> Optional[str]:
-    """The project class a right-hand side (or annotation) denotes."""
-    if isinstance(value, ast.Call):
-        name = annotation_name(value.func)
-        if name is not None:
-            resolved = project.resolve_class_name(module, name)
-            if resolved is not None:
-                return resolved
-    if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
-        owner = env.get(value.value.id)
-        if owner is not None:
-            attr_cls = attr_class(project, owner, value.attr)
-            if attr_cls is not None:
-                return attr_cls
-    if annotation is not None:
-        name = annotation_name(annotation)
-        if name is not None:
-            return project.resolve_class_name(module, name)
-    return None
-
-
-def attr_class(project: Project, cls_qual: str, attr: str) -> Optional[str]:
-    """The inferred class of ``<cls_qual instance>.<attr>``, MRO-aware."""
-    seen: set[str] = set()
-    worklist = [cls_qual]
-    while worklist:
-        current = worklist.pop(0)
-        if current in seen:
-            continue
-        seen.add(current)
-        info = project.classes.get(current)
-        if info is None:
-            continue
-        found = info.attr_types.get(attr)
-        if found is not None:
-            return found
-        worklist.extend(info.bases)
-    return None
-
-
 def receiver_class(
     project: Project, env: dict[str, str], expr: ast.expr
 ) -> Optional[str]:
@@ -157,7 +41,7 @@ def receiver_class(
     if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
         owner = env.get(expr.value.id)
         if owner is not None:
-            return attr_class(project, owner, expr.attr)
+            return project.attr_class(owner, expr.attr)
     return None
 
 
@@ -205,22 +89,17 @@ class CallGraph:
         self.edges: dict[str, set[str]] = {}
         self.sites: list[CallSite] = []
         self.self_mutators: frozenset[str] = frozenset()
-        self.envs: dict[str, dict[str, str]] = {}
 
     @classmethod
     def build(cls, project: Project) -> "CallGraph":
         """Resolve every call in every project function into edges."""
         graph = cls(project)
         for func in project.iter_functions():
-            module = project.modules[func.module]
-            env = build_type_env(
-                project, module, func.node.body, func.cls, func.node.args
-            )
-            graph.envs[func.qualname] = env
-            for node in walk_scope(func.node.body):
+            scope = func.scope
+            for node in scope.nodes:
                 if not isinstance(node, ast.Call):
                     continue
-                callee = resolve_call(project, module, env, node)
+                callee = resolve_call(project, scope.module, scope.env, node)
                 if callee is None:
                     continue
                 via_self = (
@@ -241,7 +120,7 @@ class CallGraph:
         for func in self.project.iter_functions():
             if func.cls is None:
                 continue
-            if _writes_self_attr(func.node.body):
+            if _writes_self_attr(func.scope.nodes):
                 mutators.add(func.qualname)
         # Propagate through self-calls to a fixpoint.
         self_callers: dict[str, set[str]] = {}
@@ -358,9 +237,9 @@ MUTATING_METHODS = frozenset(
 )
 
 
-def _writes_self_attr(body: Sequence[ast.stmt]) -> bool:
-    """True when any statement assigns through a ``self`` attribute."""
-    for node in walk_scope(body):
+def _writes_self_attr(nodes: Sequence[ast.AST]) -> bool:
+    """True when any node of a scope writes through a ``self`` attribute."""
+    for node in nodes:
         targets: list[ast.expr] = []
         if isinstance(node, ast.Assign):
             targets = list(node.targets)

@@ -9,7 +9,7 @@ errs toward extra paths, i.e. toward *silence* in the downstream rules.
 
 The builder runs on an explicit frame stack rather than recursive
 descent: the analyzer is subject to the repo's own no-recursion rules
-(REPRO004/REPRO007) and deep ``elif`` ladders must not overflow.
+(REPRO007) and deep ``elif`` ladders must not overflow.
 """
 
 from __future__ import annotations

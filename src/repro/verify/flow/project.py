@@ -1,4 +1,4 @@
-"""The whole-program model: modules, imports, classes, functions.
+"""The whole-program model: modules, imports, classes, functions, scopes.
 
 :class:`Project` parses every file once and resolves the repo's import
 graph into a symbol table the call-graph builder and the rule plugins
@@ -6,15 +6,20 @@ share. Resolution is deliberately *heuristic but conservative*: a name
 that cannot be pinned to a project symbol resolves to nothing, so the
 downstream rules err toward silence rather than noise.
 
+Every module top level and every indexed function is one
+:class:`Scope`, walked once: its node list (:func:`walk_scope`) and its
+type environment are built at load time, and every rule reads them.
+
 Everything here is written with explicit worklists — the analyzer is
-itself subject to the repo's no-recursion rules (REPRO004/REPRO007),
-and it had better pass its own gate.
+itself subject to the repo's no-recursion rule (REPRO007), and it had
+better pass its own gate.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -36,6 +41,8 @@ class FunctionInfo:
     decorators: tuple[str, ...] = ()
     #: True when the body contains a ``yield`` (the def is a generator).
     is_generator: bool = False
+    #: The body's scope, set by :meth:`Project.load`.
+    scope: Scope = field(init=False, repr=False)
 
     @property
     def lineno(self) -> int:
@@ -69,6 +76,54 @@ class ModuleInfo:
     source_lines: list[str]
     #: Local name -> fully qualified imported target.
     imports: dict[str, str] = field(default_factory=dict)
+    #: The top level's scope, set by :meth:`Project.load`.
+    scope: Scope = field(init=False, repr=False)
+
+    @cached_property
+    def all_nodes(self) -> list[ast.AST]:
+        """Every node of the file, nested scopes included: one walk,
+        shared by the whole-file checks (``__len__`` classes, metric
+        registrations)."""
+        return list(ast.walk(self.tree))
+
+
+@dataclass
+class Scope:
+    """One analyzable statement list: a module top level or an indexed
+    function body, with what every rule reads about it."""
+
+    symbol: str
+    module: ModuleInfo
+    body: list[ast.stmt]
+    args: Optional[ast.arguments]
+    path: Path
+    #: :func:`walk_scope` of the body.
+    nodes: list[ast.AST]
+    #: Local name -> project-class qualname (see :meth:`Project._scope`).
+    env: dict[str, str]
+
+
+def walk_scope(body: Sequence[ast.stmt]) -> list[ast.AST]:
+    """Every node under ``body`` without descending into nested defs.
+
+    Class bodies, nested functions, and lambdas are *scopes of their
+    own* — their statements must not be attributed to the enclosing
+    scope by the per-scope rules. The top-level def/lambda nodes
+    themselves are included (so their decorators are visible); only
+    their bodies are skipped.
+    """
+    result: list[ast.AST] = []
+    stack: list[ast.AST] = list(reversed(list(body)))
+    while stack:
+        node = stack.pop()
+        result.append(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(reversed(node.decorator_list))
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        stack.extend(reversed(list(ast.iter_child_nodes(node))))
+    return result
 
 
 def _decorator_name(node: ast.expr) -> Optional[str]:
@@ -83,19 +138,39 @@ def _decorator_name(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _contains_yield(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """True when the function body itself yields (nested defs excluded)."""
-    stack: list[ast.AST] = list(node.body)
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (ast.Yield, ast.YieldFrom)):
-            return True
-        if isinstance(
-            current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+def local_names(
+    nodes: Sequence[ast.AST], args: Optional[ast.arguments]
+) -> tuple[frozenset[str], frozenset[str]]:
+    """``(local names, global-declared names)`` of one scope's nodes.
+
+    Locals are the parameters, assignment and deletion targets, nested
+    def and class names, and imports; the names declared ``global`` are
+    not locals.
+    """
+    declared_global: set[str] = set()
+    local: set[str] = set()
+    if args is not None:
+        for arg in (
+            args.posonlyargs
+            + args.args
+            + args.kwonlyargs
+            + [a for a in (args.vararg, args.kwarg) if a is not None]
         ):
-            continue
-        stack.extend(ast.iter_child_nodes(current))
-    return False
+            local.add(arg.arg)
+    for node in nodes:
+        if isinstance(node, ast.Global):
+            declared_global.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(
+            node.ctx, (ast.Store, ast.Del)
+        ):
+            local.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            local.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    local.add(alias.asname or alias.name.split(".")[0])
+    return frozenset(local - declared_global), frozenset(declared_global)
 
 
 def annotation_name(annotation: Optional[ast.expr]) -> Optional[str]:
@@ -169,10 +244,23 @@ class Project:
             project.modules[module.name] = module
         for module in project.modules.values():
             project._index_module(module)
-        for module in project.modules.values():
-            project._resolve_bases(module)
+        for info in project.classes.values():
+            project._resolve_bases(info)
         for info in project.classes.values():
             project._infer_attr_types(info)
+        for module in project.modules.values():
+            module.scope = project._scope(
+                module.name, module, None, module.tree.body, None
+            )
+        for func in project.functions.values():
+            module = project.modules[func.module]
+            func.scope = project._scope(
+                func.qualname, module, func.cls, func.node.body, func.node.args
+            )
+            func.is_generator = any(
+                isinstance(node, (ast.Yield, ast.YieldFrom))
+                for node in func.scope.nodes
+            )
         return project
 
     def _index_module(self, module: ModuleInfo) -> None:
@@ -222,7 +310,6 @@ class Project:
                             )
                             if name is not None
                         ),
-                        is_generator=_contains_yield(node),
                     ),
                 )
                 if cls_qual is not None and cls_qual in self.classes:
@@ -242,23 +329,17 @@ class Project:
             base_parts.append(node.module)
         return ".".join(base_parts) if base_parts else None
 
-    def _resolve_bases(self, module: ModuleInfo) -> None:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
+    def _resolve_bases(self, info: ClassInfo) -> None:
+        module = self.modules[info.module]
+        bases: list[str] = []
+        for base in info.node.bases:
+            name = annotation_name(base)
+            if name is None:
                 continue
-            qual = f"{module.name}.{node.name}"
-            info = self.classes.get(qual)
-            if info is None:
-                continue
-            bases: list[str] = []
-            for base in node.bases:
-                name = annotation_name(base)
-                if name is None:
-                    continue
-                resolved = self.resolve_class_name(module, name)
-                if resolved is not None:
-                    bases.append(resolved)
-            info.bases = tuple(bases)
+            resolved = self.resolve_class_name(module, name)
+            if resolved is not None:
+                bases.append(resolved)
+        info.bases = tuple(bases)
 
     def _infer_attr_types(self, info: ClassInfo) -> None:
         """Infer ``self.<attr>`` project-class types from ``__init__``."""
@@ -293,19 +374,74 @@ class Project:
         module: ModuleInfo,
         value: Optional[ast.expr],
         annotation: Optional[ast.expr],
+        env: Optional[dict[str, str]] = None,
     ) -> Optional[str]:
-        """The project class an assigned value or annotation denotes."""
+        """The project class an assigned value or annotation denotes;
+        ``env`` also resolves aliases of typed attributes
+        (``trie = self.trie``)."""
         if isinstance(value, ast.Call):
             name = annotation_name(value.func)
             if name is not None:
                 resolved = self.resolve_class_name(module, name)
                 if resolved is not None:
                     return resolved
+        if (
+            env is not None
+            and isinstance(value, ast.Attribute)
+            and isinstance(value.value, ast.Name)
+        ):
+            owner = env.get(value.value.id)
+            if owner is not None:
+                attr_cls = self.attr_class(owner, value.attr)
+                if attr_cls is not None:
+                    return attr_cls
         if annotation is not None:
             name = annotation_name(annotation)
             if name is not None:
                 return self.resolve_class_name(module, name)
         return None
+
+    def _scope(
+        self,
+        symbol: str,
+        module: ModuleInfo,
+        cls_qual: Optional[str],
+        body: list[ast.stmt],
+        args: Optional[ast.arguments],
+    ) -> Scope:
+        """Walk one body once and build its type environment.
+
+        The environment maps local names to project-class qualnames,
+        flow-insensitively: ``self`` is the enclosing class, then
+        annotated parameters, then assignments from constructor calls,
+        annotations, or typed attributes. First binding wins; a later
+        re-assignment to an unknown type does not untrack the name
+        (acceptable for the heuristic rules, which all err toward
+        silence on ambiguity).
+        """
+        nodes = walk_scope(body)
+        env: dict[str, str] = {}
+        if cls_qual is not None:
+            env["self"] = cls_qual
+        if args is not None:
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                resolved = self._value_class(module, None, arg.annotation)
+                if resolved is not None:
+                    env.setdefault(arg.arg, resolved)
+        for node in nodes:
+            annotation: Optional[ast.expr] = None
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+            elif isinstance(node, ast.AnnAssign):
+                target, value, annotation = node.target, node.value, node.annotation
+            else:
+                continue
+            if not isinstance(target, ast.Name):
+                continue
+            resolved = self._value_class(module, value, annotation, env)
+            if resolved is not None:
+                env.setdefault(target.id, resolved)
+        return Scope(symbol, module, list(body), args, module.path, nodes, env)
 
     # -- lookups ---------------------------------------------------------
 
@@ -344,5 +480,31 @@ class Project:
             worklist.extend(info.bases)
         return None
 
+    def attr_class(self, cls_qual: str, attr: str) -> Optional[str]:
+        """The inferred class of ``<cls_qual instance>.<attr>``, MRO-aware."""
+        seen: set[str] = set()
+        worklist = [cls_qual]
+        while worklist:
+            current = worklist.pop(0)
+            if current in seen:
+                continue
+            seen.add(current)
+            info = self.classes.get(current)
+            if info is None:
+                continue
+            found = info.attr_types.get(attr)
+            if found is not None:
+                return found
+            worklist.extend(info.bases)
+        return None
+
     def iter_functions(self) -> Iterator[FunctionInfo]:
         return iter(self.functions.values())
+
+    def iter_scopes(self) -> Iterator[Scope]:
+        """Every module top level, then every indexed function, in name
+        order."""
+        for name in sorted(self.modules):
+            yield self.modules[name].scope
+        for qualname in sorted(self.functions):
+            yield self.functions[qualname].scope

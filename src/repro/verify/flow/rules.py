@@ -17,11 +17,11 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional, Sequence
 
 from repro.verify.context import RuleContext, RuleSpec
 from repro.verify.findings import Finding
-from repro.verify.flow.callgraph import build_type_env, resolve_call, walk_scope
+from repro.verify.flow.callgraph import resolve_call
 from repro.verify.flow.cfg import CFG, build_cfg
 from repro.verify.flow.dataflow import (
     forward_fixpoint,
@@ -29,39 +29,14 @@ from repro.verify.flow.dataflow import (
     live_after,
     liveness,
 )
-from repro.verify.flow.project import ModuleInfo, Project, annotation_name
-
-
-@dataclass
-class Scope:
-    """One analyzable statement list: a function body or a module body."""
-
-    symbol: str
-    module: ModuleInfo
-    cls: Optional[str]
-    body: list[ast.stmt]
-    args: Optional[ast.arguments]
-    path: Path
-    lineno: int
-
-
-def iter_scopes(project: Project) -> Iterator[Scope]:
-    """Every module top level and every indexed function, in name order."""
-    for name in sorted(project.modules):
-        module = project.modules[name]
-        yield Scope(name, module, None, list(module.tree.body), None, module.path, 1)
-    for qualname in sorted(project.functions):
-        func = project.functions[qualname]
-        module = project.modules[func.module]
-        yield Scope(
-            qualname,
-            module,
-            func.cls,
-            list(func.node.body),
-            func.node.args,
-            func.path,
-            func.lineno,
-        )
+from repro.verify.flow.project import (
+    FunctionInfo,
+    Project,
+    Scope,
+    annotation_name,
+    local_names,
+    walk_scope,
+)
 
 
 def _stmt_calls(stmt: ast.stmt) -> list[ast.Call]:
@@ -77,7 +52,101 @@ def _stmt_calls(stmt: ast.stmt) -> list[ast.Call]:
     return calls
 
 
-# -- REPRO007: call-graph recursion cycles ------------------------------
+# -- REPRO007: recursion cycles, call-graph and lexical -----------------
+
+_DefNode = ast.FunctionDef | ast.AsyncFunctionDef
+_DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPE_NODES = (*_DEF_NODES, ast.Lambda, ast.ClassDef)
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """One lexical scope enclosing a call: a def, lambda, or class body."""
+
+    node: ast.AST
+    bound: frozenset[str]
+    #: The names a def statement in this scope binds, to that def.
+    defs: dict[str, _DefNode]
+    #: A def directly in a class body.
+    method: bool
+
+
+def _frame(node: ast.AST, nodes: Sequence[ast.AST], method: bool) -> _Frame:
+    args = node.args if isinstance(node, (*_DEF_NODES, ast.Lambda)) else None
+    defs: dict[str, _DefNode] = {}
+    for child in nodes:
+        if isinstance(child, _DEF_NODES):
+            defs.setdefault(child.name, child)
+    return _Frame(node, local_names(nodes, args)[0], defs, method)
+
+
+def _recursive_target(
+    call: ast.Call, frames: list[_Frame], func: FunctionInfo
+) -> Optional[_DefNode]:
+    """The enclosing def that a call inside a nested scope re-enters.
+
+    A bare name resolves lexically (a class body is invisible to the
+    functions inside it, as in Python); ``self.<m>()`` re-enters the
+    method ``m`` whose ``self`` it is.
+    """
+    target = call.func
+    if isinstance(target, ast.Name):
+        for frame in reversed(frames):
+            if frame is not frames[-1] and isinstance(frame.node, ast.ClassDef):
+                continue
+            if target.id in frame.bound:
+                hit = frame.defs.get(target.id)
+                return hit if any(hit is other.node for other in frames) else None
+        return func.node if func.cls is None and target.id == func.name else None
+    if (
+        isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+    ):
+        owner = next(
+            (
+                frame
+                for frame in reversed(frames)
+                if not isinstance(frame.node, ast.ClassDef) and "self" in frame.bound
+            ),
+            None,
+        )
+        if owner is not None and owner.method:
+            node = owner.node
+            if isinstance(node, _DEF_NODES) and node.name == target.attr:
+                return node
+    return None
+
+
+def _nested_recursion(func: FunctionInfo) -> list[_DefNode]:
+    """Enclosing defs that a nested def, lambda or class of ``func``
+    calls.
+
+    The call graph indexes module-level functions and methods only, so
+    recursion inside a nested helper (the usual shape of a recursive
+    walker) never becomes an edge; this lexical check covers it.
+    """
+    found: list[_DefNode] = []
+    root = _frame(func.node, func.scope.nodes, func.cls is not None)
+    stack: list[tuple[ast.AST, list[_Frame]]] = [
+        (node, [root])
+        for node in reversed(func.scope.nodes)
+        if isinstance(node, _SCOPE_NODES)
+    ]
+    while stack:
+        node, outer = stack.pop()
+        body = [node.body] if isinstance(node, ast.Lambda) else node.body
+        nodes = walk_scope(body)
+        method = isinstance(outer[-1].node, ast.ClassDef)
+        frames = outer + [_frame(node, nodes, method)]
+        for child in nodes:
+            if isinstance(child, ast.Call):
+                hit = _recursive_target(child, frames, func)
+                if hit is not None and not any(hit is seen for seen in found):
+                    found.append(hit)
+            elif isinstance(child, _SCOPE_NODES):
+                stack.append((child, frames))
+    return found
 
 
 def _rule_recursion(ctx: RuleContext) -> list[Finding]:
@@ -102,6 +171,24 @@ def _rule_recursion(ctx: RuleContext) -> list[Finding]:
         findings.append(
             Finding("REPRO007", ctx.rel(func.path), func.lineno, anchor, message)
         )
+    for qualname in sorted(ctx.project.functions):
+        func = ctx.project.functions[qualname]
+        for target in _nested_recursion(func):
+            how = (
+                "calls itself from a nested scope"
+                if target is func.node
+                else f"recurses through its nested def {target.name}()"
+            )
+            findings.append(
+                Finding(
+                    "REPRO007",
+                    ctx.rel(func.path),
+                    func.lineno,
+                    qualname,
+                    f"{qualname} {how}; convert to an explicit worklist "
+                    "(IPv6 depth overflows recursion)",
+                )
+            )
     return findings
 
 
@@ -110,10 +197,7 @@ def _rule_recursion(ctx: RuleContext) -> list[Finding]:
 
 def _rule_dropped_delta(ctx: RuleContext) -> list[Finding]:
     findings: list[Finding] = []
-    for scope in iter_scopes(ctx.project):
-        env = build_type_env(
-            ctx.project, scope.module, scope.body, scope.cls, scope.args
-        )
+    for scope in ctx.project.iter_scopes():
         cfg = build_cfg(scope.body)
         live_out: Optional[dict[int, frozenset[str]]] = None
         for block in cfg.blocks:
@@ -140,7 +224,7 @@ def _rule_dropped_delta(ctx: RuleContext) -> list[Finding]:
                     names = frozenset({stmt.target.id})
                 if call is None:
                     continue
-                callee = resolve_call(ctx.project, scope.module, env, call)
+                callee = resolve_call(ctx.project, scope.module, scope.env, call)
                 if callee is None or "must_consume" not in callee.decorators:
                     continue
                 if len(names) == 0:
@@ -218,10 +302,10 @@ def _receiver_token(
     return base + tuple(reversed(attrs))
 
 
-def _scope_aliases(body: Sequence[ast.stmt]) -> dict[str, tuple[str, ...]]:
+def _scope_aliases(scope: Scope) -> dict[str, tuple[str, ...]]:
     """Local aliases of attribute chains, e.g. ``trie = self.trie``."""
     aliases: dict[str, tuple[str, ...]] = {}
-    for node in walk_scope(body):
+    for node in scope.nodes:
         if (
             isinstance(node, ast.Assign)
             and len(node.targets) == 1
@@ -241,12 +325,10 @@ def _tokens_overlap(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
 
 def _rule_mutating_traversal(ctx: RuleContext) -> list[Finding]:
     findings: list[Finding] = []
-    for scope in iter_scopes(ctx.project):
-        env = build_type_env(
-            ctx.project, scope.module, scope.body, scope.cls, scope.args
-        )
-        aliases = _scope_aliases(scope.body)
-        for node in walk_scope(scope.body):
+    for scope in ctx.project.iter_scopes():
+        env = scope.env
+        aliases = _scope_aliases(scope)
+        for node in scope.nodes:
             if not isinstance(node, (ast.For, ast.AsyncFor)):
                 continue
             source = node.iter
@@ -356,7 +438,7 @@ def _constructed_protocol_vars(
 ) -> dict[str, Protocol]:
     """Locals bound by a visible protocol-class constructor call."""
     tracked: dict[str, Protocol] = {}
-    for node in walk_scope(scope.body):
+    for node in scope.nodes:
         if (
             isinstance(node, ast.Assign)
             and len(node.targets) == 1
@@ -434,7 +516,7 @@ def _join_typestates(states: list[_TypeState]) -> Optional[_TypeState]:
 
 def _rule_typestate(ctx: RuleContext) -> list[Finding]:
     findings: list[Finding] = []
-    for scope in iter_scopes(ctx.project):
+    for scope in ctx.project.iter_scopes():
         tracked = _constructed_protocol_vars(ctx, scope)
         if len(tracked) == 0:
             continue
@@ -534,8 +616,8 @@ def _handler_disposes_properly(handler: ast.ExceptHandler) -> bool:
 
 def _rule_swallowed_failure(ctx: RuleContext) -> list[Finding]:
     findings: list[Finding] = []
-    for scope in iter_scopes(ctx.project):
-        for node in walk_scope(scope.body):
+    for scope in ctx.project.iter_scopes():
+        for node in scope.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             names = _handler_exception_names(node)
@@ -573,10 +655,10 @@ def _code_metric_names(project: Project) -> dict[str, tuple[Path, int]]:
     """Series registered with string literals, plus span histograms."""
     names: dict[str, tuple[Path, int]] = {}
     for module in project.modules.values():
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        for node in module.all_nodes:
+            if not isinstance(node, ast.Call) or len(node.args) == 0:
                 continue
-            if len(node.args) == 0:
+            if not isinstance(node.func, ast.Attribute):
                 continue
             first = node.args[0]
             if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
@@ -657,8 +739,8 @@ SPECS: tuple[RuleSpec, ...] = (
     RuleSpec(
         "REPRO007",
         "recursion-cycle",
-        "call-graph recursion cycle (REPRO004 is its single-function "
-        "fast-path alias); convert to an explicit worklist",
+        "call-graph recursion cycle, or a nested def or lambda that "
+        "re-enters an enclosing def; convert to an explicit worklist",
         _rule_recursion,
     ),
     RuleSpec(

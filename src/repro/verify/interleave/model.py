@@ -136,10 +136,10 @@ def _tracked_receivers(func: FunctionInfo) -> frozenset[str]:
     return frozenset(names)
 
 
-def _iter_subtree(expr: ast.AST) -> list[ast.AST]:
-    """Every node under ``expr``, nested def/lambda bodies excluded."""
+def _iter_subtree(*roots: ast.AST) -> list[ast.AST]:
+    """Every node under ``roots``, nested def/lambda bodies excluded."""
     result: list[ast.AST] = []
-    stack: list[ast.AST] = [expr]
+    stack: list[ast.AST] = list(roots)
     while stack:
         node = stack.pop()
         result.append(node)
@@ -235,7 +235,7 @@ def _blocking_call(node: ast.Call) -> Optional[str]:
 
 def _handler_reraises(handler: ast.excepthandler) -> bool:
     """True when the handler body re-raises (bare or the caught name)."""
-    for node in _iter_subtree_stmts(handler.body):
+    for node in _iter_subtree(*handler.body):
         if isinstance(node, ast.Raise):
             if node.exc is None:
                 return True
@@ -246,18 +246,6 @@ def _handler_reraises(handler: ast.excepthandler) -> bool:
             ):
                 return True
     return False
-
-
-def _iter_subtree_stmts(body: Sequence[ast.stmt]) -> list[ast.AST]:
-    result: list[ast.AST] = []
-    stack: list[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        result.append(node)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return result
 
 
 def _except_kind(handler: ast.excepthandler) -> Optional[str]:
@@ -514,7 +502,7 @@ def _scan_function(func: FunctionInfo) -> _Scan:
                     scan.excepts.append(
                         ExceptSite(kind, handler.lineno, _handler_reraises(handler))
                     )
-            for stmt in _iter_subtree_stmts(node.finalbody):
+            for stmt in _iter_subtree(*node.finalbody):
                 if (
                     isinstance(stmt, ast.Call)
                     and isinstance(stmt.func, ast.Attribute)

@@ -164,23 +164,13 @@ def _rule_unawaited_coroutine(ctx: RuleContext) -> list[Finding]:
         func = ctx.project.functions.get(qualname)
         if func is None:
             continue
-        module = ctx.project.modules.get(func.module)
-        if module is None:
-            continue
-        env = ctx.graph.envs.get(qualname, {})
-        stack: list[ast.stmt] = list(func.node.body)
-        while stack:
-            stmt = stack.pop()
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.stmt):
-                    stack.append(child)
+        scope = func.scope
+        for stmt in scope.nodes:
             if not (
                 isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
             ):
                 continue
-            callee = resolve_call(ctx.project, module, env, stmt.value)
+            callee = resolve_call(ctx.project, scope.module, scope.env, stmt.value)
             if (
                 callee is None
                 or callee.is_generator

@@ -288,13 +288,6 @@ def extract_spawns(body: Sequence[ast.stmt]) -> tuple[SpawnSite, ...]:
     return tuple(sites)
 
 
-def spawn_sites_for(
-    node: "ast.FunctionDef | ast.AsyncFunctionDef",
-) -> tuple[SpawnSite, ...]:
-    """Convenience wrapper: the spawn sites of one function body."""
-    return extract_spawns(node.body)
-
-
 def unsunk_spawns(sites: Sequence[SpawnSite]) -> list[SpawnSite]:
     """The fire-and-forget subset (rule REPRO019's subjects)."""
     return [site for site in sites if not site.sunk]

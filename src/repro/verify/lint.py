@@ -1,4 +1,5 @@
-"""Repo-specific per-file checks for the SMALTA codebase (REPRO001-006).
+"""Repo-specific per-file checks for the SMALTA codebase (REPRO001-003,
+REPRO005 and REPRO006).
 
 One AST visitor pass per file enforces the structural rules that keep
 the hot paths safe to refactor aggressively:
@@ -14,13 +15,6 @@ the hot paths safe to refactor aggressively:
   ``datetime.now()``-style reads in library code; clocks are injected
   (see ``SmaltaManager(clock=...)``) so experiments replay
   deterministically.
-- **REPRO004** ``recursive-walker`` — no self-recursive functions:
-  trie walkers recursing per bit overflow the interpreter stack at
-  width 128 (IPv6); use an explicit stack. This is the *fast-path
-  alias* of flow rule **REPRO007**: it catches only direct
-  self-recursion in a single file, while REPRO007 walks the repo-wide
-  call graph and also flags mutual recursion (``a -> b -> a``
-  walkers) this pass provably cannot see.
 - **REPRO005** ``untyped-public`` — public functions and methods in the
   packages of :data:`repro.verify.config.ANNOTATED_PACKAGES` (``core``,
   ``net``, ``verify``, ``fib``, ``router``, ``bgp``, ``workloads``,
@@ -48,6 +42,7 @@ from typing import Iterable, Optional, Sequence
 from repro.verify.cache import AnalysisCache, content_key
 from repro.verify.config import ANNOTATED_PACKAGES, SourceFile, package_parts
 from repro.verify.findings import Finding, relativize
+from repro.verify.flow.project import ModuleInfo, annotation_name
 
 #: The SmaltaState bookkeeping only repro/core may mutate directly.
 TRIE_ATTRS = frozenset({"d_o", "d_a", "pi", "deaggs"})
@@ -64,52 +59,17 @@ WALL_CLOCK = frozenset(
 )
 
 
-def collect_len_classes(trees: Iterable[ast.Module]) -> set[str]:
+def collect_len_classes(modules: Iterable[ModuleInfo]) -> set[str]:
     """Names of classes (anywhere in the scanned set) defining ``__len__``."""
     names: set[str] = set()
-    for tree in trees:
-        for node in ast.walk(tree):
+    for module in modules:
+        for node in module.all_nodes:
             if isinstance(node, ast.ClassDef) and any(
                 isinstance(item, ast.FunctionDef) and item.name == "__len__"
                 for item in node.body
             ):
                 names.add(node.name)
     return names
-
-
-def _annotation_class(annotation: Optional[ast.expr]) -> Optional[str]:
-    """The plain class name an annotation resolves to, unwrapping
-    ``Optional[X]`` and ``X | None``; None when it is not that shape."""
-    while annotation is not None:
-        if isinstance(annotation, ast.Constant) and isinstance(
-            annotation.value, str
-        ):
-            try:
-                annotation = ast.parse(annotation.value, mode="eval").body
-            except SyntaxError:
-                return None
-            continue
-        if isinstance(annotation, ast.Name):
-            return annotation.id
-        if isinstance(annotation, ast.Subscript):
-            base = annotation.value
-            if (isinstance(base, ast.Name) and base.id == "Optional") or (
-                isinstance(base, ast.Attribute) and base.attr == "Optional"
-            ):
-                annotation = annotation.slice
-                continue
-            return None
-        if isinstance(annotation, ast.BinOp) and isinstance(
-            annotation.op, ast.BitOr
-        ):
-            left = annotation.left
-            if isinstance(left, ast.Constant) and left.value is None:
-                annotation = annotation.right
-            else:
-                annotation = left
-            continue
-        return None
-    return None
 
 
 class _FileLinter(ast.NodeVisitor):
@@ -129,8 +89,9 @@ class _FileLinter(ast.NodeVisitor):
         parts = package_parts(source.path)
         self.in_core = bool(parts) and parts[0] == "core"
         self.needs_annotations = bool(parts) and parts[0] in ANNOTATED_PACKAGES
-        #: Enclosing function names (for REPRO004).
-        self.func_stack: list[str] = []
+        #: How many defs enclose the visitor (nested helpers are not
+        #: public API, for REPRO005).
+        self.func_depth = 0
         #: Enclosing class names (for REPRO005 privacy).
         self.class_stack: list[str] = []
         #: Per-function map of parameter name -> __len__-bearing class.
@@ -205,7 +166,7 @@ class _FileLinter(ast.NodeVisitor):
             self._check_attr_write(target)
         self.generic_visit(node)
 
-    # -- REPRO003 + REPRO004: calls -------------------------------------
+    # -- REPRO003: wall-clock calls ------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -223,24 +184,6 @@ class _FileLinter(ast.NodeVisitor):
                     f"{qual_name}.{func.attr}() reads the wall clock; "
                     "inject a clock callable instead",
                 )
-            if (
-                isinstance(qualifier, ast.Name)
-                and qualifier.id == "self"
-                and func.attr in self.func_stack
-            ):
-                self.report(
-                    node,
-                    "REPRO004",
-                    f"method {func.attr} calls itself; convert to an "
-                    "explicit stack (IPv6 depth overflows recursion)",
-                )
-        elif isinstance(func, ast.Name) and func.id in self.func_stack:
-            self.report(
-                node,
-                "REPRO004",
-                f"function {func.id} calls itself; convert to an "
-                "explicit stack (IPv6 depth overflows recursion)",
-            )
         self.generic_visit(node)
 
     # -- REPRO005 + REPRO006 setup: function definitions ----------------
@@ -250,7 +193,7 @@ class _FileLinter(ast.NodeVisitor):
             return False
         if any(name.startswith("_") for name in self.class_stack):
             return False
-        return not self.func_stack  # nested helpers are not public API
+        return self.func_depth == 0
 
     def _check_annotations(self, node: ast.FunctionDef) -> None:
         args = node.args
@@ -286,14 +229,14 @@ class _FileLinter(ast.NodeVisitor):
         tracked: dict[str, str] = {}
         args = node.args
         for arg in args.posonlyargs + args.args + args.kwonlyargs:
-            cls = _annotation_class(arg.annotation)
+            cls = annotation_name(arg.annotation)
             if cls is not None and cls in self.len_classes:
                 tracked[arg.arg] = cls
-        self.func_stack.append(node.name)
+        self.func_depth += 1
         self.len_params.append(tracked)
         self.generic_visit(node)
         self.len_params.pop()
-        self.func_stack.pop()
+        self.func_depth -= 1
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
@@ -343,17 +286,18 @@ class _FileLinter(ast.NodeVisitor):
 def lint_sources(
     sources: Sequence[SourceFile],
     root: Optional[Path],
+    len_classes: set[str],
     cache: Optional[AnalysisCache] = None,
 ) -> list[Finding]:
     """Every lint finding in ``sources``, before inline suppressions.
 
-    Paths are reported relative to ``root``. A ``cache`` reuses
-    per-file findings across runs: the key covers the file content, its
-    path, its module name, and the repo-wide set of ``__len__``-bearing
-    class names REPRO006 depends on, so any input that could change a
-    finding also changes the key.
+    Paths are reported relative to ``root``; ``len_classes`` is the
+    repo-wide set of ``__len__``-bearing class names REPRO006 depends on
+    (:func:`collect_len_classes`). A ``cache`` reuses per-file findings
+    across runs: the key covers the file content, its path, its module
+    name, and ``len_classes``, so any input that could change a finding
+    also changes the key.
     """
-    len_classes = collect_len_classes(sf.tree for sf in sources)
     len_digest = content_key(",".join(sorted(len_classes)))
     findings: list[Finding] = []
     for source in sources:

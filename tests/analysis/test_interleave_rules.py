@@ -138,6 +138,22 @@ class TestUnawaitedCoroutine:
     def test_suppression_waives_the_drop(self) -> None:
         assert "waived.waived_drop" not in symbols(run("coro", "REPRO020"))
 
+    def test_drop_inside_an_except_handler_reported(self, tmp_path) -> None:
+        (tmp_path / "cleanup.py").write_text(
+            "async def flush() -> None:\n"
+            "    pass\n"
+            "\n"
+            "\n"
+            "async def guarded() -> None:\n"
+            "    try:\n"
+            "        await flush()\n"
+            "    except OSError:\n"
+            "        flush()\n",
+            encoding="utf-8",
+        )
+        findings = analyze([tmp_path], select=frozenset({"REPRO020"}))
+        assert [(f.symbol, f.line) for f in findings] == [("cleanup.guarded", 9)]
+
 
 class TestBlockingWhileHeld:
     def test_blocking_calls_under_lock_reported(self) -> None:

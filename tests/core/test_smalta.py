@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.downloads import FibDownload
 from repro.core.equivalence import semantically_equivalent
 from repro.core.smalta import SmaltaState
 from repro.net.nexthop import DROP, Nexthop
@@ -189,3 +190,26 @@ class TestDownloads:
         state = SmaltaState(8)
         state.load(Prefix.from_bits("1", width=8), A)
         assert state.at_size == 0
+
+
+
+class TestWidthChecks:
+    """A prefix of another width is refused before the first trie write."""
+
+    @pytest.mark.parametrize("width", [6, 64])
+    def test_every_entry_point_refuses_another_width(self, width):
+        state = figure_2_state()
+        before = (state.ot_table(), state.at_table())
+        stray = Prefix.from_bits("1" * 5, width)
+        valid = Prefix.from_string("10.0.0.0/8")
+        for call in (
+            lambda: state.insert(stray, B),
+            lambda: state.delete(stray),
+            lambda: state.load(stray, B),
+            lambda: state.apply_batch([(valid, B), (stray, B)]),
+        ):
+            with pytest.raises(ValueError, match="bits wide"):
+                call()
+        assert (state.ot_table(), state.at_table()) == before
+        # nothing was left pending for the next drain either
+        assert state.insert(valid, A) == [FibDownload.insert(valid, A)]

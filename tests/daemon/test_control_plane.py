@@ -398,6 +398,48 @@ def test_frames_over_64_kib_both_ways():
     asyncio.run(large_frames_session())
 
 
+
+async def mixed_width_feed_session() -> None:
+    """A feed frame holding a prefix of another width than the tenant's
+    gets one error frame and enqueues nothing from that frame."""
+    daemon = AggregationDaemon()
+    daemon.add_tenant(TenantConfig(name="r1", backend="single"), start=False)
+    await daemon.start()
+    client = await DaemonClient.connect("127.0.0.1", daemon.control_port)
+
+    async def tables() -> list[object]:
+        await client.call("drain", tenant="r1")
+        return [
+            (await client.call("routes-dump", tenant="r1", table=table))["routes"]
+            for table in ("ot", "at", "kernel")
+        ]
+
+    try:
+        await client.call("end-of-rib", tenant="r1")
+        first = [protocol.encode_update(FEED[0])]
+        await client.call("feed", tenant="r1", updates=first)
+        before = await tables()
+        for stray in (p("101", 6), p("1" * 40, 64)):
+            updates = [FEED[2], RouteUpdate.announce(stray, NH[2])]
+            for burst in (False, True):
+                with pytest.raises(CtlError, match="bits wide"):
+                    await client.call(
+                        "feed",
+                        tenant="r1",
+                        updates=[protocol.encode_update(u) for u in updates],
+                        burst=burst,
+                    )
+        assert await tables() == before
+        assert daemon.tenants["r1"].stats.consumer_errors == []
+    finally:
+        await client.close()
+        await daemon.stop()
+
+
+def test_mixed_width_feed_frame_is_refused():
+    asyncio.run(mixed_width_feed_session())
+
+
 async def oversized_frame_session() -> None:
     """A line past MAX_LINE_BYTES: one error frame, then that connection
     closes; the counter moves and other connections are served."""

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.bgp.attributes import PathAttributes
 from repro.core.downloads import FibDownload
 from repro.core.equivalence import semantically_equivalent
@@ -414,3 +416,30 @@ class TestChannelCli:
         output = self.make_cli().execute("help")
         assert "show channel status" in output
         assert "channel resync" in output
+
+
+
+class TestMalformedBurst:
+    def test_burst_poisoned_after_a_valid_update_changes_nothing(self):
+        """The tenant consumer's path: a wider prefix second in a burst
+        must not leave the first update applied."""
+        from repro.core.downloads import DownloadLog
+
+        log = DownloadLog(keep_entries=True)
+        pipeline = RouterPipeline(width=32, download_log=log)
+        pipeline.end_of_rib()
+        ten, eleven = Prefix.from_string("10.0.0.0/8"), Prefix.from_string("11.0.0.0/8")
+        pipeline.apply_burst([RouteUpdate.announce(ten, A)])
+
+        def observed():
+            state = pipeline.zebra.manager.state
+            kernel = pipeline.zebra.kernel.table()
+            return state.ot_table(), state.at_table(), kernel, list(log.downloads)
+
+        before = observed()
+        stray = Prefix.from_bits("1" * 40, 64)
+        with pytest.raises(ValueError, match="bits wide"):
+            pipeline.apply_burst(
+                [RouteUpdate.announce(eleven, B), RouteUpdate.announce(stray, B)]
+            )
+        assert observed() == before

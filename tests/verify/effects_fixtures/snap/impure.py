@@ -17,5 +17,5 @@ def snapshot(state):
     return dict(state)
 
 
-def ortc_from_trie(trie):
+def ortc_table(trie):
     return _pick_order(trie)

@@ -1,7 +1,7 @@
 """REPRO017 fixtures in the packed-rebuild idiom: impure rebuilds.
 
 A packed backend's from-scratch rebuild runs on the snapshot path
-(``ortc_from_trie`` and the self-check behind it). Salting the paint
+(``ortc_table`` and the self-check behind it). Salting the paint
 order with ``random`` or logging paint progress with ``print`` makes
 the snapshot non-reproducible — the packed-rebuild versions of the
 classic REPRO017 impurities. The pure variant paints deterministically
@@ -30,7 +30,7 @@ def snapshot(entries):
     return table
 
 
-def ortc_from_trie(trie):
+def ortc_table(trie):
     return _shuffled_entries(trie)
 
 

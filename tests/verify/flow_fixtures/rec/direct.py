@@ -1,4 +1,4 @@
-"""REPRO007 fixture: direct self-recursion (REPRO004's fast path)."""
+"""REPRO007 fixture: direct self-recursion, a self-loop in the call graph."""
 
 
 def plain_recursive(n: int) -> int:

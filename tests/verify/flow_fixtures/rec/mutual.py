@@ -1,7 +1,7 @@
 """REPRO007 fixture: a mutual ping->pong->ping cycle.
 
-The per-function lint rule REPRO004 cannot see this — neither function
-calls itself — which is exactly why the call-graph rule exists.
+Neither function calls itself, so no per-function check can see the
+cycle; the call graph names it.
 """
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.verify.config import collect_files, module_name
-from repro.verify.flow.callgraph import CallGraph, build_type_env, walk_scope
+from repro.verify.flow.callgraph import CallGraph
 from repro.verify.flow.cfg import build_cfg
 from repro.verify.flow.dataflow import (
     forward_fixpoint,
@@ -30,7 +30,7 @@ from repro.verify.findings import (
     is_suppressed,
     parse_allow,
 )
-from repro.verify.flow.project import Project
+from repro.verify.flow.project import Project, walk_scope
 
 FIXTURES = Path(__file__).resolve().parent / "flow_fixtures"
 
@@ -188,12 +188,8 @@ class TestCallGraph:
 
     def test_type_env_binds_annotated_params(self) -> None:
         project = Project.load(collect_files([FIXTURES / "traversal" / "trie.py"]))
-        module = project.modules["trie"]
         func = project.functions["trie.mutates_during_walk"]
-        env = build_type_env(
-            project, module, func.node.body, args=func.node.args
-        )
-        assert env.get("trie") == "trie.Trie"
+        assert func.scope.env.get("trie") == "trie.Trie"
 
     def test_walk_scope_skips_nested_defs(self) -> None:
         tree = body_of("def outer():\n    def inner():\n        hidden()\n    x = 1")

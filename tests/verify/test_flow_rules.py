@@ -51,22 +51,43 @@ class TestRecursionCycles:
         assert symbols(findings) == ["pkg.a.alpha"]
         assert "pkg.b.beta" in findings[0].message
 
-    def test_lint_misses_mutual_recursion_flow_catches_it(self) -> None:
-        """The satellite contract: REPRO004 is the fast path of REPRO007.
-
-        The per-function lint rule sees no self-call in either half of
-        the mutual pair; the call-graph rule closes that gap.
-        """
-        mutual = FIXTURES / "rec" / "mutual.py"
-        assert analyze([mutual], select=frozenset({"REPRO004"})) == []
-        assert len(analyze([mutual], select=frozenset({"REPRO007"}))) == 1
-
-    def test_lint_and_flow_agree_on_direct_recursion(self) -> None:
+    def test_direct_recursion_reported_once(self) -> None:
         direct = FIXTURES / "rec" / "direct.py"
-        lint_findings = analyze([direct], select=frozenset({"REPRO004"}))
-        flow_findings = analyze([direct], select=frozenset({"REPRO007"}))
-        assert [finding.rule for finding in lint_findings] == ["REPRO004"]
-        assert [finding.rule for finding in flow_findings] == ["REPRO007"]
+        findings = analyze([direct])
+        assert [(finding.rule, finding.line) for finding in findings] == [
+            ("REPRO007", 4)
+        ]
+
+
+class TestNestedRecursion:
+    """Recursion inside nested defs and lambdas, which the call graph
+    does not index, is reported on the enclosing project function."""
+
+    def test_nested_walker_reported_on_its_function(self) -> None:
+        findings = run("nested", "REPRO007")
+        assert symbols(findings) == [
+            "walkers.snapshot",
+            "walkers.Counter.total",
+            "walkers.Counter.depth",
+            "walkers.outer",
+        ]
+        (walk,) = [f for f in findings if f.symbol == "walkers.snapshot"]
+        assert "nested def walk()" in walk.message
+        assert walk.line == 10  # the def line of snapshot, once per walker
+
+    def test_self_call_and_outer_name_from_nested_scope(self) -> None:
+        findings = run("nested", "REPRO007")
+        for symbol in ("walkers.Counter.depth", "walkers.outer"):
+            (finding,) = [f for f in findings if f.symbol == symbol]
+            assert "calls itself from a nested scope" in finding.message
+
+    def test_lexical_resolution_and_helpers_are_clean(self) -> None:
+        reported = symbols(run("nested", "REPRO007"))
+        assert not any(symbol.startswith("clean.") for symbol in reported)
+
+    def test_suppression_waives_the_nested_walker(self) -> None:
+        reported = symbols(run("nested", "REPRO007"))
+        assert not any("waived" in sym for sym in reported)
 
 
 class TestDroppedDelta:

@@ -1,4 +1,5 @@
-"""Fixture tests for the repo-specific per-file lint rules (REPRO001-006).
+"""Fixture tests for the repo-specific per-file lint rules (REPRO001-003,
+REPRO005, REPRO006), and the per-file recursion cases REPRO007 covers.
 
 Each rule gets a minimal module that violates it (the rule fires), a
 compliant variant (it stays silent), and a ``# noqa`` waiver check.
@@ -12,7 +13,7 @@ from pathlib import Path
 from repro.verify.engine import RULES, analyze
 from repro.verify.findings import Finding
 
-LINT_SELECT = frozenset(f"REPRO00{i}" for i in range(1, 7))
+LINT_SELECT = frozenset({"REPRO001", "REPRO002", "REPRO003", "REPRO005", "REPRO006"})
 
 
 def write(tmp_path: Path, relative: str, source: str) -> Path:
@@ -35,7 +36,6 @@ def test_rule_catalogue_is_complete():
         "missing-slots",
         "trie-write-outside-core",
         "wall-clock-call",
-        "recursive-walker",
         "untyped-public",
         "falsy-len-guard",
     ]
@@ -120,7 +120,29 @@ def test_injected_clock_is_clean(tmp_path):
     assert lint([good]) == []
 
 
-# -- REPRO004: no self-recursive walkers -------------------------------------
+def test_module_level_wall_clock_fires(tmp_path):
+    # REPRO014 treats the module's own ``import time`` as a local
+    # binding and stays silent here; REPRO003 is what catches it.
+    bad = write(tmp_path, "a.py", "import time\n\nSTART = time.time()\n")
+    assert codes(lint([bad])) == ["REPRO003"]
+
+
+def test_wall_clock_after_local_import_fires(tmp_path):
+    bad = write(
+        tmp_path,
+        "a.py",
+        "def _stamp():\n"
+        "    import datetime\n"
+        "    return datetime.datetime.now()\n",
+    )
+    assert codes(lint([bad])) == ["REPRO003"]
+
+
+# -- Recursion: one rule, REPRO007, also covers the per-file cases ----------
+
+
+def recursion(paths: list[Path]) -> list[Finding]:
+    return analyze(paths, frozenset({"REPRO007"}))
 
 
 def test_recursive_function_fires(tmp_path):
@@ -131,7 +153,7 @@ def test_recursive_function_fires(tmp_path):
         "    for child in node.children():\n"
         "        _walk(child)\n",
     )
-    assert codes(lint([bad])) == ["REPRO004"]
+    assert codes(recursion([bad])) == ["REPRO007"]
 
 
 def test_recursive_method_fires(tmp_path):
@@ -142,7 +164,7 @@ def test_recursive_method_fires(tmp_path):
         "    def _walk(self, node):\n"
         "        self._walk(node.left)\n",
     )
-    assert codes(lint([bad])) == ["REPRO004"]
+    assert codes(recursion([bad])) == ["REPRO007"]
 
 
 def test_delegating_call_is_not_recursion(tmp_path):
@@ -153,7 +175,7 @@ def test_delegating_call_is_not_recursion(tmp_path):
         "    def apply(self, update):\n"
         "        return self.manager.apply(update)\n",
     )
-    assert lint([good]) == []
+    assert recursion([good]) == []
 
 
 # -- REPRO005: annotated public API in core/net/verify -----------------------

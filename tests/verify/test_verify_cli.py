@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +44,10 @@ def run_cli(argv) -> tuple[int, str, str]:
 
 class TestRegistry:
     def test_registry_holds_every_code_once(self) -> None:
-        assert sorted(RULES) == [f"REPRO0{i:02d}" for i in range(1, 24)]
+        retired = {4, 16}
+        assert sorted(RULES) == [
+            f"REPRO0{i:02d}" for i in range(1, 24) if i not in retired
+        ]
         for code, spec in RULES.items():
             assert spec.code == code
             assert spec.name
@@ -54,6 +58,26 @@ class TestRegistry:
         (tmp_path / "m.py").write_text("X = 1\n", encoding="utf-8")
         code, _, _ = run_cli([str(tmp_path), "--select", "REPRO999"])
         assert code == 2
+
+    @pytest.mark.parametrize("code", ["REPRO004", "REPRO016"])
+    def test_retired_code_is_a_usage_error(self, tmp_path, code) -> None:
+        (tmp_path / "m.py").write_text("X = 1\n", encoding="utf-8")
+        argv = [str(tmp_path), "--select", f"{code},REPRO007"]
+        exit_code, _, err = run_cli(argv)
+        assert exit_code == 2
+        assert code in err
+
+    def test_rule_catalog_doc_matches_registry(self) -> None:
+        """docs/VERIFICATION.md's rule tables list exactly the registry's
+        codes and names, so a retired or renamed rule cannot linger."""
+        doc = REPO_ROOT / "docs" / "VERIFICATION.md"
+        rows: list[tuple[str, str]] = []
+        for line in doc.read_text(encoding="utf-8").splitlines():
+            cells = [cell.strip().strip("`") for cell in line.strip().split("|")]
+            if len(cells) > 3 and re.fullmatch(r"REPRO\d{3}", cells[1]):
+                rows.append((cells[1], cells[2]))
+        registry = [(code, spec.name) for code, spec in RULES.items()]
+        assert sorted(rows) == sorted(registry)
 
 
 class TestExitContract:
@@ -105,7 +129,7 @@ class TestExitContract:
 
 class TestRepoGates:
     def test_repo_default_run_is_clean(self, monkeypatch) -> None:
-        """The gate CI runs: all 23 rules over the default roots, zero
+        """The gate CI runs: every rule over the default roots, zero
         findings."""
         monkeypatch.chdir(REPO_ROOT)
         code, out, _ = run_cli([])
@@ -130,7 +154,7 @@ class TestRepoGates:
         rule_lines = [
             line for line in listing.stdout.splitlines() if line.startswith("REPRO")
         ]
-        assert len(rule_lines) == 23
+        assert len(rule_lines) == len(RULES) == 21
         # lint.py stays importable, so its guard must refuse to "pass"
         # by checking nothing; the other passes have no entry point.
         lint = run_module("repro.verify.lint", "src")
