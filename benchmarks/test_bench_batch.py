@@ -31,6 +31,7 @@ from repro.core.manager import SmaltaManager
 from repro.core.ortc import ortc
 from repro.core.smalta import SmaltaState
 from repro.net.nexthop import NexthopRegistry
+from repro.net.prefix import Prefix
 from repro.net.update import iter_bursts
 from repro.workloads.scale import scaled
 from repro.workloads.synthetic_table import TableProfile, generate_table
@@ -434,4 +435,79 @@ def test_bench_channel_overhead(bench_table):
     assert speedup >= 0.95, (
         f"zero-fault channel more than 5% slower than direct apply_all: "
         f"{speedup:.2f}x"
+    )
+
+
+def _state_with_null_routes(blocks: int) -> SmaltaState:
+    """A state after End-of-RIB whose nil sentinel holds about ``blocks``
+    null routes: each /22 of 10.0.0.0/8 has three /24s routed and one
+    not, so ORTC labels the /22 and covers the hole with a DROP entry."""
+    (nexthop,) = NexthopRegistry().create_many(1)
+    state = SmaltaState(32)
+    base = Prefix.from_string("10.0.0.0/8").value
+    for block in range(blocks):
+        start = base + (block << 10)
+        for quarter in range(3):
+            state.load(Prefix(start + (quarter << 8), 24, 32), nexthop)
+    assert state.snapshot()
+    return state
+
+
+def test_bench_deaggregate_visit():
+    """Algorithm 1 inserts into unrouted space against a small and a
+    large nil sentinel.
+
+    Each insert claims a /24 of 11.0.0.0/8, which no OT entry covers, so
+    P is nil and lines 19-23 visit the sentinel's deaggregates (the null
+    routes) under N. The visit bisects the prefix-ordered reverse index
+    for the run under N, so its cost must not follow the sentinel's
+    size: the acceptance floor is that an insert against ~2,000 null
+    routes costs at most 2x one against ~100.
+    """
+    claim = Prefix.from_string("11.0.0.0/8").value
+    claims = [Prefix(claim + (index << 8), 24, 32) for index in range(200)]
+    (nexthop,) = NexthopRegistry().create_many(1)
+    sizes = {"small": 100, "large": 2000}
+    timings = {name: float("inf") for name in sizes}
+    null_routes = {}
+    # Interleave sizes so neither benefits from cache warm-up ordering.
+    for _ in range(REPEATS):
+        for name, blocks in sizes.items():
+            state = _state_with_null_routes(blocks)
+            trie = state.trie
+            null_routes[name] = len(trie.deaggregates_of(trie.nil_node))
+            assert null_routes[name] >= blocks
+            assert all(trie.psi_eq_o(prefix) is None for prefix in claims)
+            started = time.perf_counter()
+            for prefix in claims:
+                assert state.insert(prefix, nexthop)
+            timings[name] = min(timings[name], time.perf_counter() - started)
+            assert len(trie.deaggregates_of(trie.nil_node)) == null_routes[name]
+            assert semantically_equivalent(
+                state.ot_table(), state.at_table(), 32
+            )
+
+    per_insert_us = {
+        name: timings[name] / len(claims) * 1e6 for name in sizes
+    }
+    ratio = per_insert_us["large"] / per_insert_us["small"]
+    _record(
+        "deaggregate_visit",
+        {
+            "workload": (
+                f"{len(claims)} Algorithm 1 inserts into unrouted space "
+                "(P nil), the nil sentinel holding "
+                f"{null_routes['small']} vs {null_routes['large']} null routes"
+            ),
+            "inserts": len(claims),
+            "small_null_routes": null_routes["small"],
+            "large_null_routes": null_routes["large"],
+            "small_us_per_insert": round(per_insert_us["small"], 2),
+            "large_us_per_insert": round(per_insert_us["large"], 2),
+            "ratio": round(ratio, 2),
+        },
+    )
+    assert ratio <= 2.0, (
+        f"an insert against {null_routes['large']} null routes costs "
+        f"{ratio:.2f}x one against {null_routes['small']}, above the 2x floor"
     )

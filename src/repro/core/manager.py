@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Optional
 from repro.core.backend import backend_name_of, make_backend
 from repro.core.downloads import DownloadLog, FibDownload
 from repro.core.policy import ManualSnapshotPolicy, SnapshotPolicy
-from repro.core.smalta import SmaltaState
+from repro.core.smalta import SmaltaState, width_mismatch
 from repro.core.trie import FibTrie
 from repro.net.nexthop import Nexthop
 from repro.net.prefix import Prefix
@@ -203,6 +203,12 @@ class SmaltaManager:
             return []
         self._c_updates.inc(len(batch))
         if self.loading:
+            # The whole burst is checked before its first OT write, so a
+            # refused burst leaves nothing of itself behind.
+            width = self.state.trie.width
+            for update in batch:
+                if update.prefix.width != width:
+                    raise width_mismatch(update.prefix, width)
             for update in batch:
                 self._apply_to_ot_only(update)
             return []
@@ -227,8 +233,11 @@ class SmaltaManager:
         if update.kind is UpdateKind.ANNOUNCE:
             assert update.nexthop is not None
             self.state.load(update.prefix, update.nexthop)
-        else:
-            self.state.trie.set_ot(update.prefix, None)
+            return
+        trie = self.state.trie
+        if update.prefix.width != trie.width:
+            raise width_mismatch(update.prefix, trie.width)
+        trie.set_ot(update.prefix, None)
 
     def _incorporate(self, update: RouteUpdate) -> list[FibDownload]:
         if not self.enabled:
@@ -245,14 +254,16 @@ class SmaltaManager:
 
     def _passthrough(self, update: RouteUpdate) -> list[FibDownload]:
         """Aggregation disabled: the FIB mirrors the OT one-for-one."""
-        state = self.state
+        trie = self.state.trie
+        if update.prefix.width != trie.width:
+            raise width_mismatch(update.prefix, trie.width)
         if update.kind is UpdateKind.ANNOUNCE:
             assert update.nexthop is not None
-            old = state.trie.set_ot(update.prefix, update.nexthop)
+            old = trie.set_ot(update.prefix, update.nexthop)
             if old == update.nexthop:
                 return []
             return [FibDownload.insert(update.prefix, update.nexthop)]
-        old = state.trie.set_ot(update.prefix, None)
+        old = trie.set_ot(update.prefix, None)
         if old is None:
             return []
         return [FibDownload.delete(update.prefix)]
@@ -260,7 +271,10 @@ class SmaltaManager:
     def _passthrough_batch(self, batch: list[RouteUpdate]) -> list[FibDownload]:
         """Batched pass-through: the net per-prefix OT delta, coalesced."""
         net: dict[Prefix, Optional[Nexthop]] = {}
+        width = self.state.trie.width
         for update in batch:
+            if update.prefix.width != width:
+                raise width_mismatch(update.prefix, width)
             net[update.prefix] = update.nexthop
         downloads: list[FibDownload] = []
         for prefix, nexthop in net.items():

@@ -38,12 +38,14 @@ from repro.obs.observability import Observability
 from repro.verify.markers import must_consume
 
 
-def _width_mismatch(prefix: Prefix, width: int) -> ValueError:
+def width_mismatch(prefix: Prefix, width: int) -> ValueError:
     """The error for a prefix of another address width than the trie's.
 
-    Checked before the first trie write: a narrower prefix would land
-    misrouted (width-6 ``101/3`` as ``0.0.0.0/3`` in a width-32 trie),
-    and a wider one would fail mid-walk with part of a burst applied.
+    Every entry point that writes the trie checks the width before its
+    first write (the manager's loading and pass-through paths too): a
+    narrower prefix would land misrouted (width-6 ``101/3`` as
+    ``0.0.0.0/3`` in a width-32 trie), and a wider one would fail
+    mid-walk with part of a burst applied.
     """
     return ValueError(
         f"{prefix} is {prefix.width} bits wide; this table is {width}"
@@ -200,14 +202,14 @@ class SmaltaState:
         if nexthop == DROP:
             raise ValueError("the Original Tree never holds DROP entries")
         if prefix.width != self.trie.width:
-            raise _width_mismatch(prefix, self.trie.width)
+            raise width_mismatch(prefix, self.trie.width)
         self.trie.set_ot(prefix, nexthop)
 
     @must_consume
     def insert(self, prefix: Prefix, nexthop: Nexthop) -> list[FibDownload]:
         """Algorithm 1 — Insert(N, Q): add or change a prefix's nexthop."""
         if prefix.width != self.trie.width:
-            raise _width_mismatch(prefix, self.trie.width)
+            raise width_mismatch(prefix, self.trie.width)
         self._insert(prefix, nexthop)
         return self._drain_downloads()
 
@@ -257,10 +259,8 @@ class SmaltaState:
         # explicit DROP entries, registered on the nil_node sentinel.
         deagg_source = p_node if p_node is not None else trie.nil_node
         node_n = trie.ensure(prefix)
-        for deagg in trie.deaggregates_of(deagg_source):
+        for deagg in trie.deaggregates_under(deagg_source, prefix):
             deagg_prefix = deagg.prefix
-            if not prefix.contains(deagg_prefix):
-                continue
             self._assign_at(deagg_prefix, nexthop, boundary=node_n)
             node_e = trie.find(deagg_prefix)
             if node_e is None:
@@ -275,7 +275,7 @@ class SmaltaState:
     def delete(self, prefix: Prefix) -> list[FibDownload]:
         """Algorithm 2 — Delete(N): remove a prefix (requires d_O(N) ≠ ε)."""
         if prefix.width != self.trie.width:
-            raise _width_mismatch(prefix, self.trie.width)
+            raise width_mismatch(prefix, self.trie.width)
         self._delete(prefix)
         return self._drain_downloads()
 
@@ -378,7 +378,7 @@ class SmaltaState:
         width = self.trie.width
         for prefix, nexthop in ops:
             if prefix.width != width:
-                raise _width_mismatch(prefix, width)
+                raise width_mismatch(prefix, width)
             net[prefix] = nexthop
             total_ops += 1
         skipped = 0

@@ -11,7 +11,9 @@ two independent labels:
 
 plus the SMALTA bookkeeping: ``pi``, a pointer from a deaggregate node to
 its preimage node in the OT, and the reverse index ``deaggs`` used by the
-"visit deaggregates of P" loops of Algorithms 1 and 2.
+"visit deaggregates of P" loops of Algorithms 1 and 2. The index is kept
+in prefix order, so the deaggregates of P under any prefix N are one
+contiguous run of it (:meth:`FibTrie.deaggregates_under`).
 
 Nodes with no labels, no bookkeeping and no children are pruned eagerly so
 that the trie's size stays proportional to the live table sizes.
@@ -25,6 +27,7 @@ change. The next snapshot redoes ORTC only on the marked region.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, Iterator, Optional
 
 from repro.core.ortc import CLEAN, DIRTY, OT_DIRTY, SetInterner, ortc_region
@@ -34,6 +37,12 @@ from repro.net.prefix import Prefix
 #: A node's pass-2 set before any ORTC run computed one (a real
 #: candidate set is never empty).
 NO_SET: frozenset[Nexthop] = frozenset()
+
+#: One reverse-index entry: the member's prefix value and length, then
+#: the member. Two live nodes never share a prefix, so the keys are
+#: unique and a list of entries sorts with C-level tuple compares that
+#: never reach the node.
+DeaggEntry = tuple[int, int, "Node"]
 
 
 class Node:
@@ -63,8 +72,9 @@ class Node:
         #: Preimage pointer: for a deaggregate node in the AT, the OT node
         #: whose address space this node covers a piece of.
         self.pi: Optional[Node] = None
-        #: Reverse index of ``pi``: nodes whose preimage is this node.
-        self.deaggs: Optional[set[Node]] = None
+        #: Reverse index of ``pi``: the nodes whose preimage is this
+        #: node, as entries in increasing (value, length) order.
+        self.deaggs: Optional[list[DeaggEntry]] = None
         #: ORTC pass 2's candidate set and pass 3's choice, as of the
         #: last run that visited this node.
         self.nhset: frozenset[Nexthop] = NO_SET
@@ -120,7 +130,9 @@ class FibTrie:
         self.interner = SetInterner()
         #: Observer invoked as ``(prefix, old_label, new_label)`` on every
         #: d_a mutation; installed by SmaltaState to log FIB downloads.
-        self.at_observer: Optional[Callable[[Prefix, Optional[Nexthop], Optional[Nexthop]], None]] = None
+        self.at_observer: Optional[
+            Callable[[Prefix, Optional[Nexthop], Optional[Nexthop]], None]
+        ] = None
 
     # -- navigation ---------------------------------------------------
 
@@ -249,40 +261,69 @@ class FibTrie:
     # -- preimage bookkeeping -------------------------------------------
 
     def set_pi(self, node: Node, preimage: Optional[Node]) -> None:
-        """Point ``node``'s preimage at ``preimage``, keeping the reverse index."""
+        """Point ``node``'s preimage at ``preimage``, keeping the reverse index.
+
+        The index stays in prefix order: an entry goes in, and comes out,
+        at its bisected position. Removing an entry the old preimage's
+        index does not hold raises :class:`RuntimeError`, since the
+        index has then lost track of a deaggregate.
+        """
         old = node.pi
         if old is preimage:
             return
         if not node.dirty:
             self._mark(node)
-        if old is not None and old.deaggs:
-            old.deaggs.discard(node)
-            if not old.deaggs:
+        prefix = node.prefix
+        if old is not None:
+            entries = old.deaggs or []
+            index = bisect_left(entries, (prefix.value, prefix.length))
+            if index == len(entries) or entries[index][2] is not node:
+                raise RuntimeError(
+                    f"reverse index of {old.prefix} does not list {prefix}"
+                )
+            del entries[index]
+            if not entries:
                 old.deaggs = None
                 self.prune(old)
         node.pi = preimage
         if preimage is not None:
+            entry = (prefix.value, prefix.length, node)
             if preimage.deaggs is None:
-                preimage.deaggs = set()
-            preimage.deaggs.add(node)
+                preimage.deaggs = [entry]
+            else:
+                insort(preimage.deaggs, entry)
         elif node.d_a is None:
             self.prune(node)
 
     def deaggregates_of(self, node: Node) -> list[Node]:
-        """A snapshot list of nodes whose preimage pointer targets ``node``.
+        """A snapshot list of the nodes whose preimage is ``node``.
 
-        Sorted by prefix: the reverse index is a set hashed on object
-        identity, so its raw iteration order varies with allocation order
-        — which differs between trie backends even when the node *graphs*
-        are identical. The update algorithms are order-insensitive, but a
-        deterministic order is what lets the differential suite demand
-        byte-identical download logs across backends.
+        In prefix order, the index's own order: the update algorithms are
+        order-insensitive, but a deterministic order is what lets the
+        differential suite demand byte-identical download logs across
+        backends.
         """
         if not node.deaggs:
             return []
-        return sorted(
-            node.deaggs, key=lambda n: (n.prefix.value, n.prefix.length)
-        )
+        return [entry[2] for entry in node.deaggs]
+
+    def deaggregates_under(self, node: Node, prefix: Prefix) -> list[Node]:
+        """The deaggregates of ``node`` at or below ``prefix``, in prefix order.
+
+        A snapshot list, equal to the members of :meth:`deaggregates_of`
+        that ``prefix`` contains. They are the index's entries from
+        (prefix.value, prefix.length) up to the first value past
+        ``prefix``'s range, so the query costs O(log d + k) for d
+        deaggregates of which k lie under ``prefix``.
+        """
+        entries = node.deaggs
+        if not entries:
+            return []
+        value = prefix.value
+        low = bisect_left(entries, (value, prefix.length))
+        end = value + (1 << (self.width - prefix.length))
+        high = bisect_left(entries, (end,), low)
+        return [entries[index][2] for index in range(low, high)]
 
     # -- longest-prefix machinery ---------------------------------------
 

@@ -17,7 +17,11 @@ from repro.analysis.reporting import format_table
 from repro.baselines import level1, level2
 from repro.core.ortc import ortc
 from repro.experiments.common import make_rng
-from repro.workloads.provider import AR_PROFILES, AccessRouterProfile, build_access_router_table
+from repro.workloads.provider import (
+    AR_PROFILES,
+    AccessRouterProfile,
+    build_access_router_table,
+)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,12 @@ from repro.analysis.reporting import format_table
 from repro.baselines import level1, level2, level3, level4, whiteholed_address_count
 from repro.core.ortc import ortc
 from repro.experiments.common import make_rng
-from repro.netsim import Outcome, aggregate_network, build_two_border_scenario, loop_census
+from repro.netsim import (
+    Outcome,
+    aggregate_network,
+    build_two_border_scenario,
+    loop_census,
+)
 from repro.netsim.forwarding import probe_addresses
 from repro.workloads.scale import scaled
 

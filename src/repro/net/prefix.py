@@ -119,7 +119,8 @@ class Prefix:
         )
 
     def contains(self, other: "Prefix") -> bool:
-        """True when ``other``'s address space lies within this prefix (or equals it)."""
+        """True when ``other``'s address space lies within this prefix
+        (or equals it)."""
         if self.width != other.width or self.length > other.length:
             return False
         if self.length == 0:

@@ -143,7 +143,8 @@ def iter_bursts(
             and max_gap_s is not None
             and abs(update.timestamp - last_timestamp) > max_gap_s
         )
-        if burst and (gap_exceeded or (max_size is not None and len(burst) >= max_size)):
+        full = max_size is not None and len(burst) >= max_size
+        if burst and (gap_exceeded or full):
             yield burst
             burst = []
         burst.append(update)

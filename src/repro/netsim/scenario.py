@@ -97,11 +97,19 @@ def aggregate_network(
         # Re-declare adjacency with the original nexthop objects.
         router_a, router_b = network.router(a), network.router(b)
         nexthop_ab = next(
-            (nh for nh in set(router_a.table.values()) if router_a.neighbor_for(nh) == b),
+            (
+                nh
+                for nh in set(router_a.table.values())
+                if router_a.neighbor_for(nh) == b
+            ),
             None,
         )
         nexthop_ba = next(
-            (nh for nh in set(router_b.table.values()) if router_b.neighbor_for(nh) == a),
+            (
+                nh
+                for nh in set(router_b.table.values())
+                if router_b.neighbor_for(nh) == a
+            ),
             None,
         )
         aggregated.graph.add_edge(a, b)

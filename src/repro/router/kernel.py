@@ -32,7 +32,9 @@ class KernelFib:
         self.backing = backing
         self._table: dict[Prefix, Nexthop] = {}
         self._tbm: Optional[TreeBitmap] = (
-            TreeBitmap(width, initial_stride, stride) if backing == "treebitmap" else None
+            TreeBitmap(width, initial_stride, stride)
+            if backing == "treebitmap"
+            else None
         )
         self.installs = 0
         self.uninstalls = 0

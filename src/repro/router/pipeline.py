@@ -74,7 +74,9 @@ class RouterPipeline:
         #: Injectable so equivalence harnesses can keep per-entry records
         #: (``DownloadLog(keep_entries=True)``) and diff them byte for byte.
         self.download_log = (
-            download_log if download_log is not None else DownloadLog(keep_entries=False)
+            download_log
+            if download_log is not None
+            else DownloadLog(keep_entries=False)
         )
         self.zebra = Zebra(
             kernel=kernel,

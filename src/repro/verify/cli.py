@@ -32,7 +32,7 @@ from repro.verify.findings import (
     render_sarif,
     render_text,
 )
-from repro.verify.flow.project import Project
+from repro.verify.flow.project import ModuleCollision, Project
 
 #: Default analysis roots, relative to the repo root.
 DEFAULT_ROOTS = ("src/repro", "examples")
@@ -192,7 +192,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if unknown:
             parser.error(f"unknown rule code(s): {', '.join(sorted(unknown))}")
     cache = default_cache(paths)
-    ctx = RuleContext.load(paths, cache=cache)
+    try:
+        ctx = RuleContext.load(paths, cache=cache)
+    except ModuleCollision as exc:
+        parser.error(str(exc))
     findings = run_rules(ctx, select)
 
     if args.diff is not None:

@@ -210,6 +210,14 @@ def annotation_name(annotation: Optional[ast.expr]) -> Optional[str]:
     return None
 
 
+class ModuleCollision(ValueError):
+    """Two analyzed files map to the same dotted module name.
+
+    The symbol table is keyed by module name, so one of the two would
+    go unanalyzed; the command line reports this as a usage error.
+    """
+
+
 class Project:
     """Parsed modules plus the cross-module symbol table."""
 
@@ -234,12 +242,19 @@ class Project:
         ``sources`` (from :func:`repro.verify.config.load_sources`)
         lets a run share one parse pass across every rule; otherwise
         the files are loaded here, optionally through the content-hash
-        ``cache``.
+        ``cache``. Raises :class:`ModuleCollision` when two files share
+        a dotted module name.
         """
         project = cls()
         if sources is None:
             sources = load_sources(paths, cache)
         for source in sources:
+            clash = project.modules.get(source.name)
+            if clash is not None:
+                raise ModuleCollision(
+                    f"{clash.path} and {source.path} are both module "
+                    f"{source.name}; analyze them in separate runs"
+                )
             module = ModuleInfo(source.name, source.path, source.tree, source.lines)
             project.modules[module.name] = module
         for module in project.modules.values():

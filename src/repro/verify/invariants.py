@@ -68,6 +68,10 @@ class InvariantCode(enum.Enum):
     REVERSE_INDEX_STALE = "reverse-index-stale"
     #: A ``pi`` pointer has no matching reverse-index entry.
     REVERSE_INDEX_MISSING = "reverse-index-missing"
+    #: A holder's reverse-index entries do not strictly increase by
+    #: (value, length), or an entry's key is not its member's prefix:
+    #: the range query of Algorithm 1 would miss deaggregates.
+    REVERSE_INDEX_ORDER = "reverse-index-order"
     #: Paper Invariant 2 (operational form): an OT entry with no AT
     #: label is neither served by AT propagation nor fully re-covered
     #: by deaggregates.
@@ -260,15 +264,40 @@ def _check_preimages(trie: FibTrie, out: list[Violation]) -> None:
 
 
 def _check_reverse_index(trie: FibTrie, out: list[Violation]) -> None:
-    """``deaggs`` must be the exact inverse of the ``pi`` map."""
+    """``deaggs`` must be the exact inverse of the ``pi`` map, its
+    entries keyed by their members' prefixes in strictly increasing
+    (value, length) order."""
     live = {id(node) for node in trie.iter_nodes()}
+    listed: set[tuple[int, int]] = set()
     for holder in _iter_with_nil(trie):
         if not holder.deaggs:
             continue
         holder_name = (
             "nil" if holder is trie.nil_node else str(holder.prefix)
         )
-        for member in holder.deaggs:
+        previous: Optional[tuple[int, int]] = None
+        for value, length, member in holder.deaggs:
+            listed.add((id(holder), id(member)))
+            key = (member.prefix.value, member.prefix.length)
+            if (value, length) != key:
+                out.append(
+                    Violation(
+                        InvariantCode.REVERSE_INDEX_ORDER,
+                        member.prefix,
+                        f"indexed under key {(value, length)} in the "
+                        f"deaggregates of {holder_name}",
+                    )
+                )
+            if previous is not None and key <= previous:
+                out.append(
+                    Violation(
+                        InvariantCode.REVERSE_INDEX_ORDER,
+                        member.prefix,
+                        f"out of prefix order in the deaggregates of "
+                        f"{holder_name}",
+                    )
+                )
+            previous = key
             if member.pi is not holder:
                 out.append(
                     Violation(
@@ -290,7 +319,7 @@ def _check_reverse_index(trie: FibTrie, out: list[Violation]) -> None:
         preimage = node.pi
         if preimage is None:
             continue
-        if preimage.deaggs is None or node not in preimage.deaggs:
+        if (id(preimage), id(node)) not in listed:
             out.append(
                 Violation(
                     InvariantCode.REVERSE_INDEX_MISSING,

@@ -69,7 +69,7 @@ def _parse_dump_line(line: str) -> tuple[str, str]:
 
     - ``bgpdump -m`` pipe format (real RouteViews RIBs)::
 
-        TABLE_DUMP2|1142294400|B|12.0.1.63|7018|10.0.0.0/8|7018 3356|IGP|12.123.1.236|...
+        TABLE_DUMP2|1142294400|B|12.0.1.63|7018|10.0.0.0/8|7018 3356|IGP|12.123.1.236|…
 
       — the prefix is field 5, the BGP nexthop field 8;
     - plain whitespace pairs (``10.0.0.0/8 peer3``), the repo's own

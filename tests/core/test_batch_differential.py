@@ -29,11 +29,12 @@ A fifth axis checks the incremental snapshot, which redoes ORTC only on
 the region the trie's writers marked: after *every* snapshot, at points
 between bursts that hypothesis picks, the AT equals the entry-stream
 ``ortc()`` of the OT entry for entry, every preimage pointer and
-deaggregate set equals what the deaggregate rule gives, and the burst
-holds the same adds, Delete+Insert pairs and removes as ``diff_tables``
-of the old AT against that scratch table. The OT also changes outside
-Algorithms 1–2 before a snapshot: loading before End-of-RIB, the
-pass-through while aggregation is off, and an out-of-band epoch.
+deaggregate list (in prefix order) equals what the deaggregate rule
+gives, and the burst holds the same adds, Delete+Insert pairs and
+removes as ``diff_tables`` of the old AT against that scratch table.
+The OT also changes outside Algorithms 1–2 before a snapshot: loading
+before End-of-RIB, the pass-through while aggregation is off, and an
+out-of-band epoch.
 """
 
 from __future__ import annotations
@@ -341,13 +342,18 @@ def check_snapshot(
     scratch = ortc(trie.ot_entries(), WIDTH)
     assert sorted(state.at_table().items()) == sorted(scratch.items())
 
-    expected_deaggs: dict[int, set[Node]] = {}
+    expected_deaggs: dict[int, list[Node]] = {}
     for node, preimage in preimages_by_rule(trie):
         assert node.pi is preimage, (node, node.pi, preimage)
         if preimage is not None:
-            expected_deaggs.setdefault(id(preimage), set()).add(node)
+            expected_deaggs.setdefault(id(preimage), []).append(node)
     for holder in [*trie.iter_nodes(), trie.nil_node]:
-        assert (holder.deaggs or set()) == expected_deaggs.get(id(holder), set())
+        # The reverse index holds the rule's members in prefix order.
+        expected = sorted(
+            (member.prefix.value, member.prefix.length, member)
+            for member in expected_deaggs.get(id(holder), [])
+        )
+        assert (holder.deaggs or []) == expected
     state.verify()
 
     if burst is None:

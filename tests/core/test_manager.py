@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.downloads import DownloadKind, DownloadLog
 from repro.core.manager import SmaltaManager
 from repro.core.policy import PeriodicUpdateCountPolicy
@@ -138,3 +140,51 @@ class TestPassThrough:
         manager = SmaltaManager(width=8, enabled=False)
         manager.loading = False
         assert manager.snapshot_now() == []
+
+
+class TestWidthChecks:
+    """Every path that writes the OT refuses a prefix of another width
+    before its first write: width-6 ``000/3`` would otherwise act on
+    ``0.0.0.0/3`` of a width-32 table."""
+
+    SLASH3 = Prefix.from_string("0.0.0.0/3")
+    VALID = Prefix.from_string("10.0.0.0/8")
+
+    def test_loading_withdraw_refused(self):
+        manager = SmaltaManager(width=32)
+        manager.apply(RouteUpdate.announce(self.SLASH3, A))
+        with pytest.raises(ValueError, match="bits wide"):
+            manager.apply(RouteUpdate.withdraw(Prefix.from_bits("000", 6)))
+        assert manager.state.ot_table() == {self.SLASH3: A}
+
+    def test_loading_burst_refused_whole(self):
+        manager = SmaltaManager(width=32)
+        burst = [
+            RouteUpdate.announce(self.VALID, A),
+            RouteUpdate.announce(Prefix.from_bits("101", 6), B),
+        ]
+        with pytest.raises(ValueError, match="bits wide"):
+            manager.apply_batch(burst)
+        assert manager.state.ot_table() == {}
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("announce", [False, True])
+    def test_passthrough_refuses(self, batched, announce):
+        log = DownloadLog(keep_entries=True)
+        manager = SmaltaManager(width=32, enabled=False, download_log=log)
+        manager.apply(RouteUpdate.announce(self.SLASH3, A))
+        manager.end_of_rib()
+        before = list(log.downloads)
+        stray = Prefix.from_bits("000", 6)
+        update = (
+            RouteUpdate.announce(stray, B)
+            if announce
+            else RouteUpdate.withdraw(stray)
+        )
+        with pytest.raises(ValueError, match="bits wide"):
+            if batched:
+                manager.apply_batch([RouteUpdate.announce(self.VALID, A), update])
+            else:
+                manager.apply(update)
+        assert manager.state.ot_table() == {self.SLASH3: A}
+        assert log.downloads == before

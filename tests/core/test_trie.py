@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,9 +10,16 @@ from repro.core.trie import FibTrie
 from repro.net.nexthop import DROP, Nexthop
 from repro.net.prefix import Prefix
 
-from tests.conftest import lookup_oracle, make_nexthops, tables
+from tests.conftest import lookup_oracle, make_nexthops, prefixes, tables
 
 NH = make_nexthops(4)
+
+#: Every width-6 prefix, the root and the host routes included.
+ALL_PREFIXES = [
+    Prefix(value << (6 - length), length, 6)
+    for length in range(7)
+    for value in range(1 << length)
+]
 
 
 def bp(bits: str, width: int = 6) -> Prefix:
@@ -114,6 +122,57 @@ class TestPreimages:
         drop_entry.d_a = DROP
         trie.set_pi(drop_entry, trie.nil_node)
         assert trie.deaggregates_of(trie.nil_node) == [drop_entry]
+
+
+class TestDeaggregatesUnder:
+    @given(
+        on_nil=st.booleans(),
+        holder_prefix=prefixes(6),
+        members=st.lists(prefixes(6), max_size=24, unique=True),
+        removed=st.sets(st.integers(0, 23), max_size=12),
+    )
+    def test_range_query_matches_filter(
+        self, on_nil, holder_prefix, members, removed
+    ):
+        trie = FibTrie(6)
+        if on_nil:
+            holder = trie.nil_node
+        else:
+            trie.set_ot(holder_prefix, NH[0])
+            holder = trie.find(holder_prefix)
+            members = [
+                member
+                for member in members
+                if holder_prefix.contains(member) and member != holder_prefix
+            ]
+        nodes = []
+        for member in members:
+            trie.set_at(member, NH[1])
+            node = trie.find(member)
+            trie.set_pi(node, holder)
+            nodes.append(node)
+        for index in sorted(removed):
+            if index < len(nodes):
+                trie.set_pi(nodes[index], None)
+        live = [n for i, n in enumerate(nodes) if i not in removed]
+        index_order = trie.deaggregates_of(holder)
+        assert index_order == sorted(
+            live, key=lambda n: (n.prefix.value, n.prefix.length)
+        )
+        for query in ALL_PREFIXES:
+            reference = [d for d in index_order if query.contains(d.prefix)]
+            assert trie.deaggregates_under(holder, query) == reference
+
+    def test_removing_an_unlisted_deaggregate_raises(self):
+        trie = FibTrie(6)
+        ot = trie.ensure(bp("1"))
+        ot.d_o = NH[0]
+        deagg = trie.ensure(bp("11"))
+        deagg.d_a = NH[0]
+        trie.set_pi(deagg, ot)
+        ot.deaggs = None  # the index lost the entry
+        with pytest.raises(RuntimeError, match="does not list"):
+            trie.set_pi(deagg, None)
 
 
 class TestLookup:

@@ -84,8 +84,42 @@ def test_stale_reverse_index_detected():
     trie = state.trie
     holder = next(n for n in trie.iter_nodes() if n.d_o is not None)
     member = next(n for n in trie.iter_nodes() if n is not holder)
-    holder.deaggs = {member}  # member.pi does not point back
+    # member.pi does not point back
+    holder.deaggs = [(member.prefix.value, member.prefix.length, member)]
     assert InvariantCode.REVERSE_INDEX_STALE in codes_of(audit_trie(trie))
+
+
+def deaggregated_state() -> SmaltaState:
+    """0 -> A re-covered by the deaggregates 001 and 011 under B's root."""
+    state = SmaltaState(WIDTH)
+    for bits, nexthop in [("", B), ("0", A), ("000", B), ("010", B)]:
+        state.load(p(bits), nexthop)
+    state.snapshot()
+    holder = state.trie.find(p("0"))
+    assert holder is not None
+    assert state.trie.deaggregates_of(holder) == [
+        state.trie.find(p("001")),
+        state.trie.find(p("011")),
+    ]
+    assert audit_trie(state.trie) == []
+    return state
+
+
+def test_reverse_index_out_of_order_detected():
+    trie = deaggregated_state().trie
+    holder = trie.find(p("0"))
+    holder.deaggs.reverse()
+    violations = audit_trie(trie)
+    assert codes_of(violations) == {InvariantCode.REVERSE_INDEX_ORDER}
+
+
+def test_reverse_index_key_mismatch_detected():
+    trie = deaggregated_state().trie
+    holder = trie.find(p("0"))
+    value, length, member = holder.deaggs[0]
+    holder.deaggs[0] = (value, length + 1, member)  # keyed under another prefix
+    violations = audit_trie(trie)
+    assert codes_of(violations) == {InvariantCode.REVERSE_INDEX_ORDER}
 
 
 def test_missing_reverse_index_detected():

@@ -100,6 +100,17 @@ class TestExitContract:
         code, _, _ = run_cli([str(tmp_path / "absent")])
         assert code == 2
 
+    def test_module_name_collision_is_a_usage_error(self, tmp_path) -> None:
+        walker = "def walk(node):\n    return walk(node)\n"
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "walkers.py").write_text(walker, encoding="utf-8")
+        first, second = tmp_path / "a", tmp_path / "b"
+        code, _, err = run_cli(["--select", "REPRO007", str(first), str(second)])
+        assert code == 2
+        assert str(first / "walkers.py") in err
+        assert str(second / "walkers.py") in err
+
     def test_select_restricts_to_one_pass(self, tmp_path) -> None:
         (tmp_path / "mixed.py").write_text(MIXED_SOURCE, encoding="utf-8")
         code, out, _ = run_cli([str(tmp_path), "--select", "REPRO014"])
